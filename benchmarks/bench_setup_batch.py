@@ -36,12 +36,8 @@ from repro.accel.benchmark import (
     run_setup_benchmark,
     write_json,
 )
-from repro.accel.setup import (
-    batch_setup_states,
-    batch_two_pass,
-    scalar_setup_loop,
-    scalar_two_pass_loop,
-)
+from repro.accel.kernels import scalar_setup_states, scalar_two_pass
+from repro.accel.setup import batch_setup_states, batch_two_pass
 from repro.core import random_permutation
 
 SMOKE_ORDERS = (4, 8)
@@ -56,11 +52,11 @@ def test_setup_parity_on_bench_workload(rng):
         perms = [random_permutation(n, rng).as_tuple()
                  for _ in range(16)]
         states = batch_setup_states(order, perms)
-        expected = scalar_setup_loop(order, perms)
+        expected = scalar_setup_states(perms, order=order)
         for got, want in zip(states, expected):
             assert [[int(v) for v in col] for col in got] == want
         first, second = batch_two_pass(order, perms)
-        want_first, want_second = scalar_two_pass_loop(order, perms)
+        want_first, want_second = scalar_two_pass(perms, order=order)
         for i in range(len(perms)):
             assert tuple(int(v) for v in first[i]) == want_first[i]
             assert tuple(int(v) for v in second[i]) == want_second[i]

@@ -1,19 +1,19 @@
-"""``repro.accel`` — the NumPy-vectorized batch-routing engine.
+"""``repro.accel`` — the batch-routing engines.
 
 Bulk analysis primitives (batched self-routing, batched external-state
-routing, batched F(n) membership) built on precompiled per-order
-**stage plans** held in a bounded, lock-guarded LRU cache — see
-:mod:`repro.accel.batch` and :mod:`repro.accel.plans`.
+routing, batched F(n) membership, batched universal setup) built on
+precompiled per-order **stage plans** held in a bounded, lock-guarded
+LRU cache — see :mod:`repro.accel.batch` and :mod:`repro.accel.plans`.
 
-NumPy is an *optional* ``accel`` extra: without it every primitive
-falls back to a pure-Python engine with identical results — the scalar
-fast-path loop, or the bit-sliced big-int kernel of
-:mod:`repro.accel.bitslice` that packs every batch lane into one big
-integer per network row and routes the whole batch with bitwise
-operations.  :func:`resolve_engine` decides which engine serves a call
-(explicit ``engine=`` keyword > ``BENES_ENGINE`` env var > measured
-auto crossover); use :func:`repro.accel.have_numpy` to check whether
-the vectorized paths are available.
+Every primitive runs on one row of the kernel table :data:`KERNELS`
+(:mod:`repro.accel.kernels`): the scalar loop, the NumPy kernels, the
+bit-sliced big-int kernels of :mod:`repro.accel.bitslice`, or the
+block-composed engine.  NumPy is an *optional* ``accel`` extra: without
+it every primitive runs on a pure-Python row with identical results.
+:func:`resolve_engine` decides which engine serves a call (explicit
+``engine=`` keyword > ``BENES_ENGINE`` env var > the ``auto`` policy);
+use :func:`repro.accel.have_numpy` to check whether the vectorized
+paths are available.
 
 Submodules are imported lazily so that leaf utilities (the LRU cache,
 the optional-import helper) can be pulled in from ``repro.core``
@@ -28,12 +28,11 @@ __all__ = [
     "PartialBatchResult",
     "ComposedPlan",
     "ENGINES",
+    "KERNELS",
     "LRUCache",
     "SetupPlan",
     "StagePlan",
     "StateChunk",
-    "autotune_cache_path",
-    "autotune_clear",
     "batch_complete_partial",
     "batch_in_class_f",
     "batch_route_partial",
@@ -52,7 +51,6 @@ __all__ = [
     "cache_clear",
     "cache_stats",
     "cached_topology",
-    "choose_engine",
     "complete_partial_row",
     "composed_in_class_f",
     "composed_order_threshold",
@@ -63,7 +61,6 @@ __all__ = [
     "composed_setup_states",
     "composed_stats",
     "composed_stats_clear",
-    "crossover_table",
     "executor_shutdown",
     "have_numpy",
     "iter_composed_states",
@@ -85,13 +82,12 @@ _EXPORTS = {
     "BitslicePlan": "bitslice",
     "PartialBatchResult": "partial",
     "ComposedPlan": "composed",
-    "ENGINES": "_np",
+    "ENGINES": "kernels",
+    "KERNELS": "kernels",
     "LRUCache": "lru",
     "SetupPlan": "setup",
     "StagePlan": "plans",
     "StateChunk": "composed",
-    "autotune_cache_path": "autotune",
-    "autotune_clear": "autotune",
     "batch_complete_partial": "partial",
     "batch_in_class_f": "batch",
     "batch_route_partial": "partial",
@@ -110,7 +106,6 @@ _EXPORTS = {
     "cache_clear": "plans",
     "cache_stats": "plans",
     "cached_topology": "plans",
-    "choose_engine": "autotune",
     "complete_partial_row": "partial",
     "composed_in_class_f": "composed",
     "composed_order_threshold": "_np",
@@ -121,7 +116,6 @@ _EXPORTS = {
     "composed_setup_states": "composed",
     "composed_stats": "composed",
     "composed_stats_clear": "composed",
-    "crossover_table": "autotune",
     "executor_shutdown": "executor",
     "have_numpy": "_np",
     "iter_composed_states": "composed",

@@ -10,19 +10,18 @@ in the package go through this one module so
 - tests can force the no-NumPy path by monkeypatching
   :data:`FORCE_FALLBACK` (no uninstalling required).
 
-Since the bit-sliced big-int engine (:mod:`repro.accel.bitslice`)
-joined the scalar loop and the NumPy kernels, "which engine runs this
-batch" is a three-way choice resolved here by :func:`resolve_engine`,
-in precedence order:
+"Which engine runs this batch" is resolved here by
+:func:`resolve_engine`, in precedence order:
 
 1. an explicit ``engine=`` keyword on the batch entry point;
 2. the :data:`FORCE_ENGINE` test hook (monkeypatch seam);
 3. the ``BENES_ENGINE`` environment variable;
-4. ``auto`` — NumPy when importable (the batch entry points promise
-   array results whenever the extra is active, so auto never silently
-   changes result types underneath a NumPy caller), otherwise the
-   measured scalar-vs-bitslice crossover of
-   :mod:`repro.accel.autotune` decides per (order, batch size).
+4. ``auto`` — :func:`auto_engine`.
+
+The engine names are the rows of the kernel table
+(:data:`repro.accel.kernels.KERNELS`).  The integer environment knobs
+of the package are parsed by :func:`env_int`, which rejects bad values
+loudly.
 """
 
 from __future__ import annotations
@@ -31,16 +30,14 @@ import os
 
 from ..errors import InvalidParameterError, MissingDependencyError
 
-__all__ = ["numpy_or_none", "require_numpy", "have_numpy",
-           "resolve_engine", "composed_order_threshold", "ENGINES",
-           "DEFAULT_COMPOSED_ORDER", "FORCE_FALLBACK", "FORCE_ENGINE"]
+__all__ = ["numpy_or_none", "require_numpy", "have_numpy", "env_int",
+           "resolve_engine", "auto_engine", "composed_order_threshold",
+           "BITSLICE_MIN_BATCH", "DEFAULT_COMPOSED_ORDER",
+           "FORCE_FALLBACK", "FORCE_ENGINE"]
 
 #: Test hook: set to True (e.g. via monkeypatch) to behave as if NumPy
 #: were not installed, exercising every pure-Python fallback path.
 FORCE_FALLBACK = False
-
-#: The concrete batch execution engines behind the accel entry points.
-ENGINES = ("scalar", "numpy", "bitslice")
 
 #: Test hook: set to an engine name (or ``"auto"``) to steer every
 #: resolution that was not given an explicit ``engine=`` keyword —
@@ -54,18 +51,41 @@ FORCE_ENGINE = None
 #: memory and wall time.
 DEFAULT_COMPOSED_ORDER = 14
 
+#: Smallest no-NumPy self-routing batch that ``auto`` gives to the
+#: bit-sliced kernel instead of the scalar loop.  Measured on a 2-vCPU
+#: x86 host (pure-Python mode, median of 7): bitslice/scalar time is
+#: 0.63-0.87 at B=3 and 0.66-0.75 at B=4 for orders 2-14, while at
+#: B=1 the scalar loop is 1.1-2.5x faster (DESIGN.md, engine matrix).
+BITSLICE_MIN_BATCH = 3
+
+
+def env_int(name: str, default: int, minimum: int = 1) -> int:
+    """The integer value of environment variable ``name``, or
+    ``default`` when it is unset or empty.  A value that is not an
+    integer, or is below ``minimum``, raises
+    :class:`~repro.errors.InvalidParameterError` naming the variable
+    and the value — a misconfigured knob never falls back silently."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise InvalidParameterError(
+            f"{name}={raw!r} is invalid: expected an integer >= "
+            f"{minimum}"
+        )
+    return value
+
 
 def composed_order_threshold() -> int:
-    """The auto-pick threshold for the composed engine — the
-    ``BENES_COMPOSED_ORDER`` environment variable when set to a valid
-    integer, else :data:`DEFAULT_COMPOSED_ORDER`."""
-    raw = os.environ.get("BENES_COMPOSED_ORDER")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_COMPOSED_ORDER
+    """The auto-pick threshold for the composed engine —
+    ``BENES_COMPOSED_ORDER`` when set, else
+    :data:`DEFAULT_COMPOSED_ORDER`."""
+    return env_int("BENES_COMPOSED_ORDER", DEFAULT_COMPOSED_ORDER)
+
 
 _UNRESOLVED = object()
 _numpy = _UNRESOLVED
@@ -106,70 +126,62 @@ def require_numpy(feature: str):
     return np
 
 
+def auto_engine(order=None, batch_size=None, kind: str = "route", *,
+                composed: bool = True) -> str:
+    """The ``auto`` policy — also the composed engine's choice of inner
+    engine for its sub-network blocks (``composed=False``):
+
+    - at or above :func:`composed_order_threshold`: ``"composed"``, the
+      only engine that bounds peak state memory by chunking;
+    - NumPy when available (array results whenever the extra is
+      active, so auto never changes result types under a NumPy
+      caller);
+    - else, for ``kind="route"`` (self-routing, membership,
+      external-state routing), the bit-sliced kernel iff the batch
+      holds at least :data:`BITSLICE_MIN_BATCH` rows;
+    - else the scalar loop — ``kind="setup"`` (Waksman looping,
+      two-pass factorization) is data-dependent cycle chasing with no
+      bit-sliced form.
+    """
+    if composed and order is not None \
+            and order >= composed_order_threshold():
+        return "composed"
+    if have_numpy():
+        return "numpy"
+    if kind == "route" and (batch_size or 0) >= BITSLICE_MIN_BATCH:
+        return "bitslice"
+    return "scalar"
+
+
 def resolve_engine(engine=None, *, order=None, batch_size=None,
                    kind: str = "route") -> str:
-    """Resolve a requested engine to a concrete member of
-    :data:`ENGINES`.
+    """Resolve a requested engine to a row of the kernel table.
 
     ``engine`` is the entry point's explicit keyword (``None`` means
     "not specified"); :data:`FORCE_ENGINE` and the ``BENES_ENGINE``
     environment variable fill in for an unspecified engine, and
-    ``"auto"`` (the default default) picks by policy:
+    ``"auto"`` (the default default) applies :func:`auto_engine` to
+    ``order``, ``batch_size`` and ``kind``.
 
-    - at or above :func:`composed_order_threshold` (default order 14,
-      env ``BENES_COMPOSED_ORDER``): the block-composed engine, which
-      bounds peak state memory by chunking — the only engine sized for
-      orders 16–20;
-    - ``kind="route"`` (self-routing, membership, external-state
-      routing): NumPy when available, else the measured per-order
-      scalar/bitslice crossover of :mod:`repro.accel.autotune` at the
-      given ``order`` and ``batch_size``;
-    - ``kind="setup"`` (Waksman looping, two-pass factorization):
-      NumPy when available, else scalar — the side assignment is
-      data-dependent cycle chasing with no bit-sliced formulation, so
-      auto never routes it through the bitslice label.
-
-    Requesting ``"numpy"`` without NumPy raises
-    :class:`~repro.errors.MissingDependencyError`; an unknown name
-    raises :class:`~repro.errors.InvalidParameterError`.
-
-    Validation is delegated to the first-class registry
-    (:func:`repro.engines.require_exec`): the accepted names are the
-    registered exec-seam engines, so registering a new engine extends
-    this seam without touching it.  :data:`ENGINES` stays as the
-    built-in tuple for documentation and the registry bootstrap.
+    An unknown name raises :class:`~repro.errors.InvalidParameterError`;
+    requesting ``"numpy"`` without NumPy raises
+    :class:`~repro.errors.MissingDependencyError`.
     """
     requested = engine
     if requested is None:
         requested = FORCE_ENGINE or os.environ.get("BENES_ENGINE") \
             or "auto"
-    if requested != "auto":
-        # Imported lazily: repro.engines builds its built-in specs on
-        # top of this module, so the dependency must point one way at
-        # import time.  The fallback keeps bootstrap uses (the
-        # registry's own adapters) working before registration ends.
-        try:
-            from ..engines import require_exec
-        except ImportError:
-            require_exec = None
-        if require_exec is not None:
-            require_exec(requested)
-            return requested
-        if requested not in ENGINES:
-            raise InvalidParameterError(
-                f"unknown accel engine {requested!r}; choose one of "
-                f"{', '.join(ENGINES)} or 'auto' (also settable via "
-                "the BENES_ENGINE environment variable)"
-            )
-        if requested == "numpy":
-            require_numpy("engine='numpy'")
-        return requested
-    if order is not None and order >= composed_order_threshold():
-        return "composed"
-    if have_numpy():
-        return "numpy"
-    if kind != "route":
-        return "scalar"
-    from .autotune import choose_engine
+    if requested == "auto":
+        return auto_engine(order, batch_size, kind)
+    # Imported here: the table holds kernels built on this module.
+    from .kernels import ENGINES
 
-    return choose_engine(order, batch_size)
+    if requested not in ENGINES:
+        raise InvalidParameterError(
+            f"unknown accel engine {requested!r}; choose one of "
+            f"{', '.join(ENGINES)} or 'auto' (also settable via the "
+            "BENES_ENGINE environment variable)"
+        )
+    if requested == "numpy":
+        require_numpy("engine='numpy'")
+    return requested

@@ -1,56 +1,29 @@
-"""Vectorized batch-routing engine.
+"""Vectorized batch routing, and the one dispatch behind every batch
+entry point.
 
-The analysis layer routes *millions* of tag vectors: cardinality
-sweeps, Monte-Carlo F(n) density estimates, membership sampling, fault
-sweeps.  One at a time through the scalar
-:func:`~repro.core.fastpath.fast_self_route` loop that is ``O(N log N)``
-Python bytecode per vector; here the whole batch advances through each
-of the ``2n - 1`` stages *simultaneously* as a ``(B, N)`` integer array:
+The analysis layer routes *millions* of tag vectors (cardinality
+sweeps, Monte-Carlo F(n) density estimates, fault sweeps).  The NumPy
+kernels here advance a whole batch through each of the ``2n - 1``
+stages *simultaneously* as a ``(N, B)`` integer array (terminals ×
+instances): a stage's switch decisions are one bitwise expression on
+the even rows (the self-routing rule reads bit ``min(s, 2n-2-s)`` of
+the upper input's tag), the conditional exchange is the arithmetic
+pair-swap ``diff = (odd - even) * s; even += diff; odd -= diff``, and a
+link crossing is one gather through the precompiled inverse-link index
+of the :class:`~repro.accel.plans.StagePlan`.  Each value carries its
+source in the high bits (``source << order | tag``), so one array routes
+both and the pair is unpacked once at the end (~40x over the scalar
+loop at order 8).
 
-- a stage's switch decisions for every instance at once are one bitwise
-  expression on the even columns (the self-routing rule reads bit
-  ``min(s, 2n-2-s)`` of the upper input's tag);
-- the conditional pair-swap is one ``where`` over the ``(B, N/2, 2)``
-  pair view;
-- a link crossing is one gather through the precompiled inverse-link
-  index row of the :class:`~repro.accel.plans.StagePlan`.
-
-Two implementation tricks keep the inner loop to a handful of NumPy
-kernels per stage (measured ~40x over the scalar loop at order 8):
-
-- **source packing** — instead of propagating a ``(tag, source)`` array
-  pair, each value carries its source in the high bits
-  (``source << order | tag``); the control rule only reads tag bits
-  ``< order``, so one array routes both and the pair is unpacked once
-  at the end;
-- **arithmetic pair-swap** — with the batch laid out ``(N, B)``
-  (terminals × instances), a stage's conditional exchange is
-  ``diff = (odd - even) * s; even += diff; odd -= diff`` on the
-  even/odd row views, avoiding ``where`` temporaries, and a link
-  crossing is a contiguous row gather through the plan's inverse-link
-  index.
-
-Three bulk primitives cover the analysis workloads:
-
-- :func:`batch_self_route` — a
-  :class:`~repro.core.routing.BatchRouteResult` (success mask +
-  delivered mappings, optional per-stage switch-flip data);
-- :func:`batch_route_with_states` — the realized permutations under
-  external per-instance switch settings, same result shape;
-- :func:`batch_in_class_f` — the F(n) membership mask (success only,
-  no source tracking: the cheapest of the three).
-
-Every primitive degrades to the scalar fast path when NumPy (the
-``accel`` extra) is absent, carrying plain lists in the same result
-types — same values, element for element.  Parity with both the scalar
-fast path and the structural :class:`~repro.core.benes.BenesNetwork`
-is pinned by ``tests/test_accel.py`` (exhaustively for small orders,
-randomized via hypothesis for larger).
-
-When :mod:`repro.obs` is enabled the engine reports call/item counts,
-success/failure tallies, per-stage switch-flip totals, batch-size and
-wall-time histograms under the ``accel.*`` metric names; disabled, the
-only cost is one flag check per call.
+The three primitives — :func:`batch_self_route`,
+:func:`batch_route_with_states`, :func:`batch_in_class_f` — and the
+universal-setup primitives of :mod:`repro.accel.setup` all go through
+:func:`dispatch`: resolve the engine, then either shard through
+:mod:`repro.accel.executor` or call the engine's kernel from
+:data:`repro.accel.kernels.KERNELS` — the same values, element for
+element, on every engine (pinned by ``tests/test_kernel_parity.py``).
+When :mod:`repro.obs` is enabled the dispatch records the ``accel.*``
+metrics; disabled, the only cost is one flag check per call.
 """
 
 from __future__ import annotations
@@ -59,15 +32,10 @@ from time import perf_counter as _perf_counter
 
 from .. import obs as _obs
 from ..core.bits import log2_exact
-from ..core.fastpath import (
-    fast_route_with_states,
-    fast_self_route,
-    fast_self_route_states,
-)
 from ..core.routing import BatchRouteResult
 from ..core.switch import validate_stuck_switches
 from ..errors import InvalidParameterError, SizeMismatchError
-from ..obs.spans import spanned as _spanned
+from ..obs import spans as _spans
 from . import executor as _executor
 from ._np import numpy_or_none, resolve_engine
 from .plans import stage_plan
@@ -76,21 +44,35 @@ __all__ = [
     "batch_self_route",
     "batch_route_with_states",
     "batch_in_class_f",
+    "dispatch",
 ]
+
+#: op -> (metric family ``accel.<family>.*``, span name, resolution
+#: kind).
+_OPS = {
+    "self_route": ("batch", "batch.self_route", "route"),
+    "in_class_f": ("membership", "batch.membership", "route"),
+    "route_with_states": ("states", "batch.route_with_states", "route"),
+    "setup_states": ("setup", "batch.setup", "setup"),
+    "two_pass": ("two_pass", "batch.two_pass", "setup"),
+}
 
 
 def _batch_dims(batch):
     """Cheap ``(B, N)`` hint for engine resolution — no validation, no
-    materialization; ``(None, None)`` when the shape is unreadable
-    (the selected engine's own validation then reports properly)."""
+    materialization; ``None`` for what is unreadable (the kernel's own
+    validation then reports properly)."""
     shape = getattr(batch, "shape", None)
     if shape is not None and len(shape) == 2:
         return int(shape[0]), int(shape[1])
     try:
         b = len(batch)
+    except TypeError:
+        return None, None
+    try:
         n = len(batch[0]) if b else 0
     except (TypeError, IndexError, KeyError):
-        return None, None
+        n = None
     return b, n
 
 
@@ -99,18 +81,6 @@ def _order_hint(width):
     if width and width > 0 and (width & (width - 1)) == 0:
         return width.bit_length() - 1
     return None
-
-
-def _resolve(engine, *, order, batch_size, kind="route"):
-    """Resolve the engine for one user-facing call and record the
-    decision (``accel.engine_selected.<engine>``).  Shard-side calls
-    arrive with the dispatcher's concrete engine and skip the counter
-    — the selection happened once, at the dispatching call."""
-    resolved = resolve_engine(engine, order=order,
-                              batch_size=batch_size, kind=kind)
-    if _obs.enabled() and not _executor.in_shard():
-        _obs.inc(f"accel.engine_selected.{resolved}")
-    return resolved
 
 
 def _as_tag_array(np, tags_batch):
@@ -131,12 +101,8 @@ def _as_tag_array(np, tags_batch):
 
 
 def _reject_scalar_options(entry: str, options: dict) -> None:
-    """Engine options this batch entry point does not implement must
-    fail loudly: the scalar path honors them, so accepting-and-ignoring
-    would make the engines silently diverge — exactly the bug class
-    :mod:`repro.verify` exists to catch.  Raises
-    :class:`~repro.errors.InvalidParameterError` (never a bare
-    ``TypeError``) naming every offending option."""
+    """Fail loudly on scalar-path options this entry point does not
+    implement — ignoring them would let the engines silently diverge."""
     if options:
         names = ", ".join(repr(name) for name in sorted(options))
         raise InvalidParameterError(
@@ -245,68 +211,227 @@ def _route_array(np, rows, order, stage_cross=None, omega_mode=False,
     return rows
 
 
-def _record_batch_metrics(kind, batch_size, seconds, n_success=None,
-                          per_stage=None, scope="full"):
+def _realized(np, states, order: int, n_columns: int):
+    """Push identity rows through the first ``n_columns`` switch
+    columns of a ``(B, 2n-1, N/2)`` external state batch and return
+    ``dest`` with ``dest[b, source]`` = the row holding ``source``'s
+    signal — the realized mapping when ``n_columns == 2n - 1``, the
+    two-pass half-way map when ``n_columns == n``."""
+    plan = stage_plan(order)
+    n = plan.n_terminals
+    batch = states.shape[0]
+    inv_links = plan.np_inv_links()
+    dtype = np.int32 if order <= 31 else np.int64
+    rows = np.repeat(np.arange(n, dtype=dtype)[:, None], batch, axis=1)
+    for stage in range(n_columns):
+        _swap_stage(rows, (states[:, stage, :].T != 0).astype(dtype))
+        if stage < n_columns - 1:
+            rows = rows[inv_links[stage]]
+    # rows[row, b] = source occupying that row -> dest[b, source] = row
+    sources = rows.T.astype(np.int64)
+    dest = np.empty_like(sources)
+    np.put_along_axis(
+        dest, sources,
+        np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)),
+        axis=1,
+    )
+    return dest
+
+
+# ----------------------------------------------------------------------
+# The NumPy kernels (the "numpy" row of repro.accel.kernels.KERNELS)
+# ----------------------------------------------------------------------
+
+def numpy_self_route(tags_batch, *, omega_mode=False, stage_data=False,
+                     stage_states=False, stuck_switches=None,
+                     _stage_totals=None) -> BatchRouteResult:
+    """Self-route a ``(B, N)`` tag batch; per-stage cross counts feed
+    both ``stage_data`` and the ``_stage_totals`` metrics tap."""
+    np = numpy_or_none()
+    arr = _as_tag_array(np, tags_batch)
+    n = arr.shape[1]
+    order = log2_exact(n)
+    stuck = _stuck_plan(np, order, stuck_switches)
+    # Pack each value's source row into its high bits; the control rule
+    # only reads tag bits < order, so one array routes both.
+    rows = _working_block(np, arr, n_value_bits=2 * order)
+    rows |= np.arange(n, dtype=rows.dtype)[:, None] << order
+    stage_cross = [] if (stage_data or _stage_totals is not None) \
+        else None
+    states_acc = [] if stage_states else None
+    rows = _route_array(np, rows, order, stage_cross=stage_cross,
+                        omega_mode=omega_mode, stuck=stuck,
+                        stage_states=states_acc)
+    if _stage_totals is not None:
+        _stage_totals.extend(stage_cross)
+    tags = rows & (n - 1)
+    success = (tags == np.arange(n, dtype=rows.dtype)[:, None]
+               ).all(axis=0)
+    return BatchRouteResult(
+        success_mask=success,
+        mappings=(rows >> order).T.astype(np.int64),
+        per_stage=(np.array(stage_cross) if stage_data else None),
+        stage_states=(np.transpose(np.array(states_acc), (2, 0, 1))
+                      if stage_states else None),
+    )
+
+
+def numpy_in_class_f(perms_batch):
+    """The ``(B,)`` F(n) membership mask: routing without sources."""
+    np = numpy_or_none()
+    arr = _as_tag_array(np, perms_batch)
+    n = arr.shape[1]
+    order = log2_exact(n)
+    rows = _route_array(np, _working_block(np, arr, n_value_bits=order),
+                        order)
+    return (rows == np.arange(n, dtype=rows.dtype)[:, None]).all(axis=0)
+
+
+def numpy_route_with_states(states_batch, *, order: int,
+                            stage_data=False) -> BatchRouteResult:
+    """Realized permutations under a ``(B, 2n-1, N/2)`` state batch."""
+    np = numpy_or_none()
+    plan = stage_plan(order)
+    states = np.asarray(states_batch, dtype=np.int64)
+    expected = (plan.n_stages, plan.n_terminals // 2)
+    if states.ndim != 3 or states.shape[1:] != expected:
+        raise SizeMismatchError(
+            f"expected a (B, {expected[0]}, {expected[1]}) batch of "
+            f"switch states for order {order}, got shape {states.shape}"
+        )
+    return BatchRouteResult(
+        success_mask=np.ones(states.shape[0], dtype=bool),
+        mappings=_realized(np, states, order, plan.n_stages),
+        per_stage=((states != 0).sum(axis=2).T if stage_data else None),
+    )
+
+
+# ----------------------------------------------------------------------
+# The dispatch
+# ----------------------------------------------------------------------
+
+def _record_metrics(op, batch, seconds, scope, result, totals) -> None:
     """Feed one batch call into the registry (metrics are enabled).
 
     ``scope`` splits the catalogue so a sharded run's totals equal the
     inline run's exactly (no double counting between the dispatching
     call and its shards): ``"call"`` records the once-per-user-call
-    instruments (calls, wall time, batch-size histogram), ``"work"``
-    the per-item ones each shard records for its slice (items,
-    success/failure, per-stage crosses), and ``"full"`` — the inline,
-    unsharded path — both.  Entry points pick ``"work"`` when
-    :func:`repro.accel.executor.in_shard` is true.
+    instruments (calls, wall time, batch-size histogram, the no-NumPy
+    fallback tally), ``"work"`` the per-item ones each shard records
+    for its slice (items, success/failure, per-stage crosses), and
+    ``"full"`` — the inline, unsharded path — both.
     """
+    family = _OPS[op][0]
     if scope != "work":
-        _obs.inc(f"accel.{kind}.calls")
-        _obs.observe(f"accel.{kind}.seconds", seconds)
-        _obs.observe("accel.batch.size", batch_size,
-                     bounds=_obs.POW2_BOUNDS)
-    if scope != "call":
-        _obs.inc(f"accel.{kind}.items", batch_size)
-        if n_success is not None:
-            _obs.inc(f"accel.{kind}.success", n_success)
-            _obs.inc(f"accel.{kind}.failure", batch_size - n_success)
-        if per_stage is not None:
-            # NumPy path entries are (B,) arrays; the bitslice path
-            # hands whole-batch ints per stage.
-            for stage, crosses in enumerate(per_stage):
-                if not isinstance(crosses, int):
-                    crosses = crosses.sum() if hasattr(crosses, "sum") \
-                        else sum(crosses)
-                _obs.inc(f"accel.{kind}.stage_cross.{stage}",
-                         int(crosses))
+        if numpy_or_none() is None:
+            _obs.inc("accel.fallback.calls")
+        _obs.inc(f"accel.{family}.calls")
+        _obs.observe(f"accel.{family}.seconds", seconds)
+        _obs.observe("accel.batch.size", batch, bounds=_obs.POW2_BOUNDS)
+    if scope == "call":
+        return
+    _obs.inc(f"accel.{family}.items", batch)
+    if op in ("self_route", "in_class_f"):
+        mask = result.success_mask if op == "self_route" else result
+        n_success = int(mask.sum()) if hasattr(mask, "sum") \
+            else sum(map(bool, mask))
+        _obs.inc(f"accel.{family}.success", n_success)
+        _obs.inc(f"accel.{family}.failure", batch - n_success)
+    # NumPy taps hand (B,) arrays per stage, bitslice whole-batch ints.
+    for stage, crosses in enumerate(totals or ()):
+        if not isinstance(crosses, int):
+            crosses = crosses.sum()
+        _obs.inc(f"accel.{family}.stage_cross.{stage}", int(crosses))
 
 
-def _metric_scope() -> str:
-    """``"work"`` inside an executor shard, else ``"full"``."""
-    return "work" if _executor.in_shard() else "full"
+def dispatch(op: str, rows, *, engine=None, parallel=False, **options):
+    """Run batch ``op`` on one engine — the single path behind
+    :func:`batch_self_route`, :func:`batch_in_class_f`,
+    :func:`batch_route_with_states`,
+    :func:`~repro.accel.setup.batch_setup_states` and
+    :func:`~repro.accel.setup.batch_two_pass`.
+
+    Resolves ``engine`` (:func:`~repro.accel.resolve_engine`, counted
+    once per user-facing call as ``accel.engine_selected.<engine>``),
+    then either shards the batch through
+    :func:`repro.accel.executor.dispatch` — every shard re-enters here
+    with the concrete engine and records work-scope metrics only — or
+    calls ``KERNELS[engine][op](rows, **options)``.  The composed
+    kernels shard their inner blocks themselves, so they receive
+    ``parallel`` instead.  An empty batch raises
+    :class:`~repro.errors.InvalidParameterError` on every engine (no
+    engine can infer ``N`` from zero rows).
+    """
+    opened = _spans.start_span(_OPS[op][1])
+    try:
+        enabled = _obs.enabled()
+        t0 = _perf_counter() if enabled else 0.0
+        batch, width = _batch_dims(rows)
+        if batch is None:  # an iterator: materialize once
+            rows = list(rows)
+            batch, width = _batch_dims(rows)
+        if batch == 0:
+            raise InvalidParameterError(
+                f"batch_{op}() needs at least one row; the row width "
+                "N of an empty batch is unknown"
+            )
+        order = options.get("order", _order_hint(width))
+        engine = resolve_engine(engine, order=order, batch_size=batch,
+                                kind=_OPS[op][2])
+        in_shard = _executor.in_shard()
+        if enabled and not in_shard:
+            _obs.inc(f"accel.engine_selected.{engine}")
+        totals = None
+        if engine != "composed" and _executor.wants_shards(parallel,
+                                                           batch):
+            result = _executor.dispatch(op, rows, parallel=parallel,
+                                        order_hint=order, engine=engine,
+                                        **options)
+            scope = "call"
+        else:
+            if engine == "composed":
+                options["parallel"] = parallel
+            if enabled and op == "self_route":
+                totals = options["_stage_totals"] = []
+            from .kernels import KERNELS
+
+            result = KERNELS[engine][op](rows, **options)
+            scope = "work" if in_shard else "full"
+        if enabled:
+            _record_metrics(op, batch, _perf_counter() - t0, scope,
+                            result, totals)
+        return result
+    finally:
+        if opened is not None:
+            opened.finish()
 
 
-@_spanned("batch.self_route")
+# ----------------------------------------------------------------------
+# Public entry points
+# ----------------------------------------------------------------------
+
 def batch_self_route(tags_batch, *, omega_mode=False, stage_data=False,
                      stage_states=False, stuck_switches=None,
                      parallel=False, engine=None, **scalar_options):
-    """Self-route a batch of tag vectors; the vectorized equivalent of
+    """Self-route a batch of tag vectors; the batched equivalent of
     ``[fast_self_route(t) for t in tags_batch]``.
 
     Args:
         tags_batch: ``(B, N)`` array-like of destination tags (each row
             an arbitrary tag vector — duplicates allowed, exactly as in
-            the scalar fast path).
+            the scalar fast path); ``B >= 1``.
         omega_mode: set the omega bit on every signal, forcing the
             first ``n - 1`` columns straight (realizes ``Omega(n)``,
             mirroring ``BenesNetwork.route(omega_mode=True)``).
         stage_data: also collect per-stage switch-flip counts into the
-            result's ``per_stage`` field (NumPy path only; the fallback
-            path leaves it ``None``).
+            result's ``per_stage`` field (numpy and bitslice engines;
+            the scalar loop leaves it ``None``).
         stage_states: also record every stage's full 0/1 switch-state
             array into the result's ``stage_states`` field
-            (``(B, 2n-1, N/2)`` int8, nested tuples on the fallback
-            path) — value-identical to the scalar network's per-stage
-            trace states; the evidence differential verification
-            compares byte-for-byte.
+            (``(B, 2n-1, N/2)`` int8, nested tuples on the pure-Python
+            engines) — value-identical to the scalar network's
+            per-stage trace states; the evidence differential
+            verification compares byte-for-byte.
         stuck_switches: fault injection — the same ``{(stage, switch):
             state}`` map ``BenesNetwork.route`` takes, applied to
             *every* instance of the batch (one fault configuration,
@@ -317,8 +442,9 @@ def batch_self_route(tags_batch, *, omega_mode=False, stage_data=False,
             ``True`` resolves to ``os.cpu_count()`` workers, an int is
             an explicit worker count.  Results are identical for any
             value.
-        engine: ``"scalar"``, ``"numpy"``, ``"bitslice"`` or ``"auto"``
-            (default: auto, overridable via ``BENES_ENGINE`` — see
+        engine: ``"scalar"``, ``"numpy"``, ``"bitslice"``,
+            ``"composed"`` or ``"auto"`` (default: auto, overridable
+            via ``BENES_ENGINE`` — see
             :func:`repro.accel.resolve_engine`).  Values are identical
             for every engine; result *containers* follow the engine
             (arrays for numpy, lists/tuples otherwise).
@@ -334,135 +460,15 @@ def batch_self_route(tags_batch, *, omega_mode=False, stage_data=False,
         ``success_mask`` is a ``(B,)`` bool array and whose
         ``mappings[b][o]`` is the input whose signal reached output
         ``o`` of instance ``b`` (lists of identical values on the
-        no-NumPy fallback path).
+        pure-Python engines).
     """
     _reject_scalar_options("batch_self_route", scalar_options)
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    b_hint, n_hint = _batch_dims(tags_batch)
-    engine = _resolve(engine, order=_order_hint(n_hint),
-                      batch_size=b_hint)
-    if engine == "composed":
-        from .composed import composed_self_route
-
-        result = composed_self_route(
-            tags_batch, omega_mode=omega_mode, stage_data=stage_data,
-            stage_states=stage_states, stuck_switches=stuck_switches,
-            parallel=parallel,
-        )
-        if enabled:
-            _record_batch_metrics(
-                "batch", len(result.success_mask),
-                _perf_counter() - t0,
-                n_success=sum(bool(ok) for ok in result.success_mask),
-                scope=_metric_scope(),
-            )
-        return result
-    extra = (omega_mode, stage_data, stuck_switches, stage_states,
-             engine)
-    if engine != "numpy":
-        rows_in = tags_batch if isinstance(tags_batch, list) \
-            else list(tags_batch)
-        if _executor.wants_shards(parallel, len(rows_in)):
-            result = _executor.dispatch(
-                "self_route", rows_in, extra=extra, parallel=parallel,
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("batch", len(rows_in),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_self_route
-
-            stage_totals = [] if enabled else None
-            result = bitslice_self_route(
-                rows_in, omega_mode=omega_mode, stage_data=stage_data,
-                stage_states=stage_states,
-                stuck_switches=stuck_switches,
-                _stage_totals=stage_totals,
-            )
-            if enabled:
-                if np is None and scope == "full":
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("batch", len(result.success_mask),
-                                      _perf_counter() - t0,
-                                      n_success=sum(result.success_mask),
-                                      per_stage=stage_totals,
-                                      scope=scope)
-            return result
-        successes, delivered = [], []
-        states_acc = [] if stage_states else None
-        for tags in rows_in:
-            if stage_states:
-                ok, dst, st = fast_self_route_states(
-                    tags, omega_mode=omega_mode,
-                    stuck_switches=stuck_switches,
-                )
-                states_acc.append(st)
-            else:
-                ok, dst = fast_self_route(
-                    tags, omega_mode=omega_mode,
-                    stuck_switches=stuck_switches,
-                )
-            successes.append(ok)
-            delivered.append(dst)
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_batch_metrics("batch", len(successes),
-                                  _perf_counter() - t0,
-                                  n_success=sum(successes), scope=scope)
-        return BatchRouteResult(success_mask=successes,
-                                mappings=delivered,
-                                stage_states=states_acc)
-    arr = _as_tag_array(np, tags_batch)
-    n = arr.shape[1]
-    order = log2_exact(n)
-    stuck = _stuck_plan(np, order, stuck_switches)  # validates eagerly
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        result = _executor.dispatch(
-            "self_route", arr, extra=extra,
-            parallel=parallel, order_hint=order,
-        )
-        if enabled:
-            # Work-level metrics (items, success/failure, crosses) were
-            # recorded by the shards and merged from their deltas.
-            _record_batch_metrics("batch", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return result
-    # Pack each value's source row into its high bits; the control rule
-    # only reads tag bits < order, so one array routes both.
-    rows = _working_block(np, arr, n_value_bits=2 * order)
-    rows |= np.arange(n, dtype=rows.dtype)[:, None] << order
-    stage_cross = [] if (stage_data or enabled) else None
-    states_acc = [] if stage_states else None
-    rows = _route_array(np, rows, order, stage_cross=stage_cross,
-                        omega_mode=omega_mode, stuck=stuck,
-                        stage_states=states_acc)
-    tags = rows & (n - 1)
-    success = (tags == np.arange(n, dtype=rows.dtype)[:, None]
-               ).all(axis=0)
-    result = BatchRouteResult(
-        success_mask=success,
-        mappings=(rows >> order).T.astype(np.int64),
-        per_stage=(np.array(stage_cross) if stage_data else None),
-        stage_states=(np.transpose(np.array(states_acc), (2, 0, 1))
-                      if stage_states else None),
-    )
-    if enabled:
-        _record_batch_metrics("batch", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              n_success=int(success.sum()),
-                              per_stage=stage_cross,
-                              scope=_metric_scope())
-    return result
+    return dispatch("self_route", tags_batch, engine=engine,
+                    parallel=parallel, omega_mode=omega_mode,
+                    stage_data=stage_data, stage_states=stage_states,
+                    stuck_switches=stuck_switches)
 
 
-@_spanned("batch.membership")
 def batch_in_class_f(perms_batch, *, parallel=False, engine=None,
                      **scalar_options):
     """F(n) membership mask for a batch of permutations: instance ``b``
@@ -481,82 +487,15 @@ def batch_in_class_f(perms_batch, *, parallel=False, engine=None,
     :class:`~repro.errors.InvalidParameterError`.
     """
     _reject_scalar_options("batch_in_class_f", scalar_options)
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    b_hint, n_hint = _batch_dims(perms_batch)
-    engine = _resolve(engine, order=_order_hint(n_hint),
-                      batch_size=b_hint)
-    if engine == "composed":
-        from .composed import composed_in_class_f
-
-        mask = composed_in_class_f(perms_batch, parallel=parallel)
-        if enabled:
-            _record_batch_metrics(
-                "membership", len(mask), _perf_counter() - t0,
-                n_success=sum(bool(ok) for ok in mask),
-                scope=_metric_scope(),
-            )
-        return mask
-    if engine != "numpy":
-        rows_in = perms_batch if isinstance(perms_batch, list) \
-            else list(perms_batch)
-        if _executor.wants_shards(parallel, len(rows_in)):
-            mask = _executor.dispatch("in_class_f", rows_in,
-                                      extra=(engine,),
-                                      parallel=parallel)
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("membership", len(rows_in),
-                                      _perf_counter() - t0, scope="call")
-            return mask
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_in_class_f
-
-            mask = bitslice_in_class_f(rows_in)
-        else:
-            # Scalar Theorem 1 recursion early-exits on the first
-            # conflict, so it beats a full scalar routing pass here.
-            from ..core.membership import in_class_f
-
-            mask = [in_class_f(perm) for perm in rows_in]
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_batch_metrics("membership", len(mask),
-                                  _perf_counter() - t0,
-                                  n_success=sum(mask), scope=scope)
-        return mask
-    arr = _as_tag_array(np, perms_batch)
-    n = arr.shape[1]
-    order = log2_exact(n)
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        mask = _executor.dispatch("in_class_f", arr,
-                                  extra=("numpy",), parallel=parallel,
-                                  order_hint=order)
-        if enabled:
-            _record_batch_metrics("membership", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return mask
-    rows = _working_block(np, arr, n_value_bits=order)
-    rows = _route_array(np, rows, order)
-    mask = (rows == np.arange(n, dtype=rows.dtype)[:, None]).all(axis=0)
-    if enabled:
-        _record_batch_metrics("membership", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              n_success=int(mask.sum()),
-                              scope=_metric_scope())
-    return mask
+    return dispatch("in_class_f", perms_batch, engine=engine,
+                    parallel=parallel)
 
 
-@_spanned("batch.route_with_states")
 def batch_route_with_states(states_batch, order: int, *,
                             stage_data=False, parallel=False,
                             engine=None, **scalar_options):
     """Realized permutations of ``B(order)`` under a batch of external
-    state assignments; the vectorized equivalent of
+    state assignments; the batched equivalent of
     ``[fast_route_with_states(s, order) for s in states_batch]``.
 
     Args:
@@ -582,99 +521,6 @@ def batch_route_with_states(states_batch, order: int, *,
         :class:`~repro.errors.InvalidParameterError`.
     """
     _reject_scalar_options("batch_route_with_states", scalar_options)
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    try:
-        b_hint = len(states_batch)
-    except TypeError:
-        b_hint = None
-    engine = _resolve(engine, order=order, batch_size=b_hint)
-    if engine == "composed":
-        from .composed import composed_route_with_states
-
-        result = composed_route_with_states(
-            states_batch, order, stage_data=stage_data,
-            parallel=parallel,
-        )
-        if enabled:
-            _record_batch_metrics("states", len(result.success_mask),
-                                  _perf_counter() - t0,
-                                  scope=_metric_scope())
-        return result
-    if engine != "numpy":
-        rows_in = states_batch if isinstance(states_batch, list) \
-            else list(states_batch)
-        if _executor.wants_shards(parallel, len(rows_in)):
-            result = _executor.dispatch(
-                "route_with_states", rows_in,
-                extra=(order, stage_data, engine), parallel=parallel,
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_batch_metrics("states", len(rows_in),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_route_with_states
-
-            result = bitslice_route_with_states(rows_in, order,
-                                                stage_data=stage_data)
-        else:
-            mappings = [fast_route_with_states(states, order)
-                        for states in rows_in]
-            result = BatchRouteResult(
-                success_mask=[True] * len(mappings), mappings=mappings
-            )
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_batch_metrics("states", len(result.success_mask),
-                                  _perf_counter() - t0, scope=scope)
-        return result
-    plan = stage_plan(order)
-    n = plan.n_terminals
-    states = np.asarray(states_batch, dtype=np.int64)
-    expected = (plan.n_stages, n // 2)
-    if states.ndim != 3 or states.shape[1:] != expected:
-        raise SizeMismatchError(
-            f"expected a (B, {expected[0]}, {expected[1]}) batch of "
-            f"switch states for order {order}, got shape {states.shape}"
-        )
-    batch = states.shape[0]
-    if _executor.wants_shards(parallel, batch):
-        result = _executor.dispatch(
-            "route_with_states", states,
-            extra=(order, stage_data, "numpy"),
-            parallel=parallel, order_hint=order,
-        )
-        if enabled:
-            _record_batch_metrics("states", int(batch),
-                                  _perf_counter() - t0, scope="call")
-        return result
-    inv_links = plan.np_inv_links()
-    dtype = np.int32 if plan.order <= 31 else np.int64
-    rows = np.repeat(np.arange(n, dtype=dtype)[:, None], batch, axis=1)
-    last_stage = plan.n_stages - 1
-    for stage in range(plan.n_stages):
-        cond = (states[:, stage, :].T != 0).astype(dtype)
-        _swap_stage(rows, cond)
-        if stage < last_stage:
-            rows = rows[inv_links[stage]]
-    # rows[output, b] = source  ->  dest[b, source] = output
-    rows = rows.T.astype(np.int64)
-    dest = np.empty_like(rows)
-    outputs = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n))
-    np.put_along_axis(dest, rows, outputs, axis=1)
-    result = BatchRouteResult(
-        success_mask=np.ones(batch, dtype=bool),
-        mappings=dest,
-        per_stage=((states != 0).sum(axis=2).T if stage_data else None),
-    )
-    if enabled:
-        _record_batch_metrics("states", int(batch),
-                              _perf_counter() - t0,
-                              scope=_metric_scope())
-    return result
+    return dispatch("route_with_states", states_batch, engine=engine,
+                    parallel=parallel, order=order,
+                    stage_data=stage_data)

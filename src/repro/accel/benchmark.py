@@ -164,13 +164,13 @@ def measure_setup_cell(order: int, batch_size: int, rng: random.Random,
     the same cell shape measures the shard executor; ``engine`` pins a
     concrete engine (resolved with ``kind="setup"`` semantics — auto
     never picks bitslice for the data-dependent side assignment)."""
-    from .setup import (batch_setup_states, batch_two_pass,
-                        scalar_setup_loop, scalar_two_pass_loop)
+    from .kernels import scalar_setup_states, scalar_two_pass
+    from .setup import batch_setup_states, batch_two_pass
 
     if kind == "setup":
-        scalar_fn, batch_fn = scalar_setup_loop, batch_setup_states
+        scalar_fn, batch_fn = scalar_setup_states, batch_setup_states
     elif kind == "two_pass":
-        scalar_fn, batch_fn = scalar_two_pass_loop, batch_two_pass
+        scalar_fn, batch_fn = scalar_two_pass, batch_two_pass
     else:
         raise InvalidParameterError(
             f"unknown setup benchmark kind {kind!r}"
@@ -184,7 +184,7 @@ def measure_setup_cell(order: int, batch_size: int, rng: random.Random,
     best_scalar = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        scalar_fn(order, perms[:scalar_items])
+        scalar_fn(perms[:scalar_items], order=order)
         best_scalar = min(best_scalar, time.perf_counter() - t0)
 
     # warm caches / pool untimed

@@ -43,8 +43,8 @@ separate fault groups.
 Every entry point works without NumPy (pure-Python peel over
 :func:`repro.core.waksman.looping_assignment`, per-block dispatch to
 the scalar or bit-sliced engines) — identical values, element for
-element.  The engine registers as ``"composed"`` in
-:mod:`repro.engines` and is auto-picked by
+element.  The engine is the ``"composed"`` row of
+:data:`repro.accel.kernels.KERNELS` and is auto-picked by
 :func:`repro.accel.resolve_engine` above the
 ``BENES_COMPOSED_ORDER`` threshold (default 14).
 
@@ -56,6 +56,9 @@ Tunables (environment):
 - ``BENES_COMPOSED_ORDER`` — auto-pick threshold (see
   :mod:`repro.accel._np`).
 
+Each must be an integer >= 1; anything else raises
+:class:`~repro.errors.InvalidParameterError`.
+
 Observability: ``accel.composed.*`` counters (blocks dispatched, chunk
 flushes, chunk-size histogram, calls/seconds) plus the pull-style
 ``accel.composed`` provider (:func:`composed_stats`) and the
@@ -65,7 +68,6 @@ into the OpenMetrics exporter catalogue automatically.
 
 from __future__ import annotations
 
-import os
 from threading import Lock
 from time import perf_counter as _perf_counter
 from typing import NamedTuple, Optional
@@ -75,7 +77,7 @@ from ..core.routing import BatchRouteResult
 from ..core.switch import validate_stuck_switches
 from ..errors import InvalidParameterError, SizeMismatchError
 from ..obs.spans import spanned as _spanned
-from ._np import have_numpy, numpy_or_none
+from ._np import auto_engine, env_int, numpy_or_none
 from .batch import (
     _as_tag_array,
     _batch_dims,
@@ -112,16 +114,6 @@ DEFAULT_SUB_ORDER = 10
 #: Blocks dispatched per chunk flush (override:
 #: ``BENES_COMPOSED_CHUNK``) — the knob bounding peak state memory.
 DEFAULT_CHUNK_BLOCKS = 16
-
-
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            return max(minimum, int(raw))
-        except ValueError:
-            pass
-    return default
 
 
 class ComposedPlan:
@@ -171,8 +163,8 @@ def composed_plan(order: int,
             f"{order} — route it through the inner engine directly"
         )
     if sub_order is None:
-        sub_order = _env_int("BENES_COMPOSED_SUB_ORDER",
-                             DEFAULT_SUB_ORDER)
+        sub_order = env_int("BENES_COMPOSED_SUB_ORDER",
+                            DEFAULT_SUB_ORDER)
     sub_order = max(1, min(int(sub_order), order - 1))
     return composed_plan_cache().get_or_build(
         (order, sub_order), lambda: ComposedPlan(order, sub_order)
@@ -187,24 +179,15 @@ def _resolve_chunk(chunk_blocks) -> int:
                 f"chunk_blocks must be >= 1, got {chunk_blocks!r}"
             )
         return chunk
-    return _env_int("BENES_COMPOSED_CHUNK", DEFAULT_CHUNK_BLOCKS)
+    return env_int("BENES_COMPOSED_CHUNK", DEFAULT_CHUNK_BLOCKS)
 
 
-def _inner_engine(sub_order, batch_size, kind: str = "route") -> str:
-    """The engine composed hands its sub-network batches to.
-
-    Computed directly — never through
-    :func:`repro.accel.resolve_engine` — so ``BENES_ENGINE=composed``
+def _inner_engine(order, batch_size, kind: str = "route") -> str:
+    """The engine composed hands its sub-network batches to: the
+    ``auto`` policy minus its composed rule, so ``BENES_ENGINE=composed``
     (or the ``FORCE_ENGINE`` hook) can steer callers *into* this module
-    without recursing back into it.
-    """
-    if have_numpy():
-        return "numpy"
-    if kind != "route":
-        return "scalar"
-    from .autotune import choose_engine
-
-    return choose_engine(sub_order, batch_size)
+    without recursing back into it."""
+    return auto_engine(order, batch_size, kind, composed=False)
 
 
 # ----------------------------------------------------------------------
@@ -573,6 +556,7 @@ def composed_self_route(tags_batch, *, omega_mode=False,
                         stage_data=False, stage_states=False,
                         stuck_switches=None, parallel=False,
                         engine=None, sub_order=None, chunk_blocks=None,
+                        _stage_totals=None,
                         **scalar_options) -> BatchRouteResult:
     """Self-route a batch of tag vectors by block decomposition —
     value-identical to :func:`repro.accel.batch_self_route` for every
@@ -584,9 +568,8 @@ def composed_self_route(tags_batch, *, omega_mode=False,
 
     Args:
         engine: the **inner** engine the sub-network batches run on
-            (default: NumPy when available, else the measured
-            scalar/bitslice crossover).  The outer decomposition is
-            always this module.
+            (default: the ``auto`` policy without its composed rule).
+            The outer decomposition is always this module.
         sub_order: middle sub-network order ``r`` (default:
             ``BENES_COMPOSED_SUB_ORDER`` clamped to ``order - 1``).
         chunk_blocks: blocks per dispatch chunk (default:
@@ -596,6 +579,8 @@ def composed_self_route(tags_batch, *, omega_mode=False,
     contract) — stream via :func:`iter_composed_states` instead when
     memory is the point.  ``stage_data`` is served on the NumPy path
     and ``None`` otherwise, exactly like the batch engine's fallback.
+    ``_stage_totals`` (the kernel table's metrics tap) stays empty: the
+    block batches record their own stage crosses.
     """
     _reject_scalar_options("composed_self_route", scalar_options)
     np = numpy_or_none()

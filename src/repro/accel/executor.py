@@ -11,11 +11,12 @@ shard count (pinned by ``tests/test_accel_setup.py``).
 Design notes:
 
 - **Spawn-safe.**  Workers are created with the ``spawn`` start method
-  (fork would duplicate the parent's locks and NumPy state); every task
-  is a module-level function dispatched *by name* through
-  :data:`_TASKS`, so nothing unpicklable crosses the process boundary
-  — payloads are plain arrays/lists, results are the same frozen
-  result types the inline path returns.
+  (fork would duplicate the parent's locks and NumPy state); every shard
+  is the op *name*, a slice of the rows and the op's keyword options,
+  re-dispatched in the worker by :func:`repro.accel.batch.dispatch`, so
+  nothing unpicklable crosses the process boundary — payloads are
+  plain arrays/lists, results are the same frozen result types the
+  inline path returns.
 - **Plan-cache warmup.**  The pool initializer pre-builds the stage
   plan of the order that triggered pool creation in every worker, so
   the per-worker LRU (each process has its own) is warm before the
@@ -61,12 +62,12 @@ import atexit
 import os
 import threading
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import obs as _obs
 from ..errors import InvalidParameterError
 from ..obs import spans as _spans
-from ._np import have_numpy, numpy_or_none
+from ._np import env_int, have_numpy, numpy_or_none
 
 __all__ = [
     "SHARD_THRESHOLD",
@@ -78,69 +79,23 @@ __all__ = [
 ]
 
 #: Minimum batch size before sharding engages; overridable via the
-#: ``BENES_SHARD_THRESHOLD`` environment variable (read at import).
-SHARD_THRESHOLD = int(os.environ.get("BENES_SHARD_THRESHOLD", "2048"))
+#: ``BENES_SHARD_THRESHOLD`` environment variable (read at import; a
+#: value that is not an integer >= 1 fails the import loudly).
+SHARD_THRESHOLD = env_int("BENES_SHARD_THRESHOLD", 2048)
 
 _POOL = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
 
 
-# ----------------------------------------------------------------------
-# Worker-side task table.  Every task takes one payload tuple and
-# returns a picklable result; the batch entry points are imported
-# lazily so a spawned worker pays the import once, and so this module
-# never creates an import cycle with repro.accel.batch / .setup.
-# ----------------------------------------------------------------------
+def _run_shard(op: str, rows, options: Dict[str, Any]):
+    """One shard's work: the batch dispatch itself, imported lazily so
+    a spawned worker pays the import once and this module never
+    creates an import cycle with :mod:`repro.accel.batch`.  It sees
+    :func:`in_shard` and records work-scope metrics only."""
+    from .batch import dispatch
 
-def _task_self_route(payload):
-    from .batch import batch_self_route
-
-    (tags, omega_mode, stage_data, stuck_switches, stage_states,
-     engine) = payload
-    return batch_self_route(tags, omega_mode=omega_mode,
-                            stage_data=stage_data,
-                            stuck_switches=stuck_switches,
-                            stage_states=stage_states, engine=engine)
-
-
-def _task_in_class_f(payload):
-    from .batch import batch_in_class_f
-
-    perms = payload[0]
-    engine = payload[1] if len(payload) > 1 else None
-    return batch_in_class_f(perms, engine=engine)
-
-
-def _task_route_with_states(payload):
-    from .batch import batch_route_with_states
-
-    states, order, stage_data, engine = payload
-    return batch_route_with_states(states, order, stage_data=stage_data,
-                                   engine=engine)
-
-
-def _task_setup_states(payload):
-    from .setup import batch_setup_states
-
-    perms, order, engine = payload
-    return batch_setup_states(order, perms, engine=engine)
-
-
-def _task_two_pass(payload):
-    from .setup import batch_two_pass
-
-    perms, order, engine = payload
-    return batch_two_pass(order, perms, engine=engine)
-
-
-_TASKS: Dict[str, Callable[[tuple], Any]] = {
-    "self_route": _task_self_route,
-    "in_class_f": _task_in_class_f,
-    "route_with_states": _task_route_with_states,
-    "setup_states": _task_setup_states,
-    "two_pass": _task_two_pass,
-}
+    return dispatch(op, rows, **options)
 
 
 _SHARD_FLAG = threading.local()
@@ -172,7 +127,8 @@ def _sync_worker_obs(ctx: Dict) -> bool:
     return bool(ctx["metrics"])
 
 
-def _run_task(task: str, payload: tuple, ctx: Optional[Dict] = None):
+def _run_task(op: str, rows, options: Dict[str, Any],
+              ctx: Optional[Dict] = None):
     """Worker entry point: execute one shard, returning ``(seconds,
     result, delta)`` — the worker-side wall time (fed to the
     ``executor.worker.seconds`` histogram by the parent), the shard
@@ -193,11 +149,11 @@ def _run_task(task: str, payload: tuple, ctx: Optional[Dict] = None):
     try:
         if trace_ref is not None:
             with _spans.adopt(*trace_ref):
-                with _spans.span("executor.shard", task=task,
+                with _spans.span("executor.shard", task=op,
                                  shard=ctx.get("shard")):
-                    result = _TASKS[task](payload)
+                    result = _run_shard(op, rows, options)
         else:
-            result = _TASKS[task](payload)
+            result = _run_shard(op, rows, options)
     finally:
         _SHARD_FLAG.active = False
     seconds = _perf_counter() - t0
@@ -311,7 +267,7 @@ executor_shutdown = shutdown
 atexit.register(shutdown, wait=False)
 
 
-def _thread_map(task: str, payloads: List[tuple],
+def _thread_map(payloads: List[tuple],
                 contexts: Optional[List[Dict]] = None):
     """Shard runner of last resort: a transient thread pool (shared
     caches, no pickling).  GIL-bound for the pure-Python fallback, but
@@ -323,7 +279,7 @@ def _thread_map(task: str, payloads: List[tuple],
     if contexts is None:
         contexts = [None] * len(payloads)
     with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
-        futures = [pool.submit(_run_task, task, p, c)
+        futures = [pool.submit(_run_task, *p, c)
                    for p, c in zip(payloads, contexts)]
         # A shard that raises mid-batch fails the whole call with its
         # original traceback: the first failing result re-raises here
@@ -347,74 +303,57 @@ def _shard_bounds(n_items: int, n_shards: int) -> List[tuple]:
     return bounds
 
 
-def _merge(task: str, parts: List[Any]):
+def _concat(parts: List[Any], axis: int = 0):
+    """Join shard pieces along the batch axis: arrays with NumPy,
+    list pieces (the pure-Python engines) by chaining; for ``axis=1``
+    the pieces are per-stage rows of per-lane values."""
+    if isinstance(parts[0], list):
+        if axis:
+            return [[v for part in stage for v in part]
+                    for stage in zip(*parts)]
+        return [row for part in parts for row in part]
+    return numpy_or_none().concatenate(parts, axis=axis)
+
+
+def _merge(op: str, parts: List[Any]):
     """Reassemble shard results in submission order."""
-    np = numpy_or_none()
-    if task in ("self_route", "route_with_states"):
-        from ..core.routing import BatchRouteResult
+    from ..core.routing import BatchRouteResult
 
-        masks = [p.success_mask for p in parts]
-        maps = [p.mappings for p in parts]
-        stages = [p.per_stage for p in parts]
-        states = [p.stage_states for p in parts]
-        if np is not None and not isinstance(masks[0], list):
-            per_stage = (np.concatenate(stages, axis=1)
-                         if all(s is not None for s in stages) else None)
-            stage_states = (np.concatenate(states, axis=0)
-                            if all(s is not None for s in states)
-                            else None)
-            return BatchRouteResult(
-                success_mask=np.concatenate(masks),
-                mappings=np.concatenate(maps, axis=0),
-                per_stage=per_stage,
-                stage_states=stage_states,
-            )
-        return BatchRouteResult(
-            success_mask=[ok for part in masks for ok in part],
-            mappings=[row for part in maps for row in part],
-            stage_states=(
-                [st for part in states for st in part]
-                if all(s is not None for s in states) else None
-            ),
-        )
-    if task == "in_class_f":
-        if np is not None and not isinstance(parts[0], list):
-            return np.concatenate(parts)
-        return [ok for part in parts for ok in part]
-    if task == "setup_states":
-        if np is not None and not isinstance(parts[0], list):
-            return np.concatenate(parts, axis=0)
-        return [states for part in parts for states in part]
-    if task == "two_pass":
-        firsts = [p[0] for p in parts]
-        seconds = [p[1] for p in parts]
-        if np is not None and not isinstance(firsts[0], list):
-            return (np.concatenate(firsts, axis=0),
-                    np.concatenate(seconds, axis=0))
-        return ([row for part in firsts for row in part],
-                [row for part in seconds for row in part])
-    raise InvalidParameterError(f"unknown executor task {task!r}")
+    if op == "two_pass":
+        return tuple(_concat(list(factor)) for factor in zip(*parts))
+    if not isinstance(parts[0], BatchRouteResult):
+        return _concat(parts)
+    per_stage = [p.per_stage for p in parts]
+    states = [p.stage_states for p in parts]
+    return BatchRouteResult(
+        success_mask=_concat([p.success_mask for p in parts]),
+        mappings=_concat([p.mappings for p in parts]),
+        per_stage=None if per_stage[0] is None
+        else _concat(per_stage, axis=1),
+        stage_states=None if states[0] is None else _concat(states),
+    )
 
 
-def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
-             order_hint: Optional[int] = None):
-    """Run ``task`` over ``items`` (an array or list sliced along axis
-    0) in shards, merging the results in order.
+def dispatch(op: str, items, *, parallel=True,
+             order_hint: Optional[int] = None, **options):
+    """Run batch ``op`` over ``items`` (an array or list sliced along
+    axis 0) in shards, merging the results in order.
 
-    ``extra`` is appended to every shard's payload after the item
-    slice.  Caller guarantees :func:`wants_shards` returned True; the
-    result is identical to the corresponding inline call.
+    Every shard runs ``repro.accel.batch.dispatch(op, slice,
+    **options)`` in a worker.  Caller guarantees :func:`wants_shards`
+    returned True; the result is identical to the corresponding inline
+    call.
     """
     n_items = len(items)
     workers = resolve_workers(parallel)
     n_shards = min(workers, n_items)
     bounds = _shard_bounds(n_items, n_shards)
-    payloads = [(items[start:stop],) + extra for start, stop in bounds]
+    payloads = [(op, items[start:stop], options) for start, stop in bounds]
 
     enabled = _obs.enabled()
     t0 = _perf_counter() if enabled else 0.0
     orders = (order_hint,) if order_hint is not None else ()
-    with _spans.span("executor.dispatch", task=task, items=n_items,
+    with _spans.span("executor.dispatch", task=op, items=n_items,
                      shards=n_shards) as dispatch_span:
         trace_ref = None
         if dispatch_span is not None:
@@ -438,7 +377,7 @@ def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
 
             try:
                 pool = _get_process_pool(workers, orders)
-                futures = [pool.submit(_run_task, task, p, c)
+                futures = [pool.submit(_run_task, *p, c)
                            for p, c in zip(payloads, process_ctxs)]
             except (OSError, RuntimeError, ImportError):
                 # Restricted environments (no /dev/shm, sandboxed
@@ -446,7 +385,7 @@ def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
                 mode = "thread"
                 if enabled:
                     _obs.inc("executor.fallback.calls")
-                timed = _thread_map(task, payloads, thread_ctxs)
+                timed = _thread_map(payloads, thread_ctxs)
             else:
                 try:
                     timed = [f.result() for f in futures]
@@ -457,7 +396,7 @@ def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
                     mode = "thread"
                     if enabled:
                         _obs.inc("executor.fallback.calls")
-                    timed = _thread_map(task, payloads, thread_ctxs)
+                    timed = _thread_map(payloads, thread_ctxs)
                 # Any other exception is a *shard* failure: a task that
                 # raised mid-batch.  It propagates here with its
                 # original traceback and the whole dispatch fails —
@@ -467,7 +406,7 @@ def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
                 # full shard list).
         else:
             mode = "thread"
-            timed = _thread_map(task, payloads, thread_ctxs)
+            timed = _thread_map(payloads, thread_ctxs)
 
         results = []
         n_deltas = 0
@@ -487,4 +426,4 @@ def dispatch(task: str, items, *, extra: tuple = (), parallel=True,
                 _obs.observe("executor.worker.seconds", seconds)
             _obs.observe("executor.dispatch.seconds",
                          _perf_counter() - t0)
-    return _merge(task, results)
+    return _merge(op, results)

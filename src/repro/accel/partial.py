@@ -53,6 +53,7 @@ __all__ = [
     "batch_complete_partial",
     "batch_route_partial",
     "complete_partial_row",
+    "mask_partial",
 ]
 
 #: The idle-lane sentinel in dense partial rows.
@@ -94,7 +95,11 @@ class PartialBatchResult:
         return len(self.success_mask)
 
 
-def _validate_row(row: Sequence[int], n: int, index: int) -> Row:
+def _complete_row(row: Sequence[int], index: int) -> Row:
+    """Validate one dense partial row (``index`` names it in errors)
+    and give its idle inputs the unused destinations in increasing
+    order."""
+    n = len(row)
     out = []
     seen = set()
     for value in row:
@@ -113,19 +118,16 @@ def _validate_row(row: Sequence[int], n: int, index: int) -> Row:
                 "destinations")
         seen.add(value)
         out.append(value)
-    return tuple(out)
+    free = iter(sorted(set(range(n)) - seen))
+    return tuple(v if v != IDLE else next(free) for v in out)
 
 
 def complete_partial_row(row: Sequence[int]) -> Row:
     """The canonical completion of one dense partial row: active lanes
     kept, idle inputs given the unused destinations in increasing
     order."""
-    n = len(row)
-    log2_exact(n)  # width must be a power of two
-    row = _validate_row(row, n, 0)
-    used = set(v for v in row if v != IDLE)
-    free = iter(sorted(set(range(n)) - used))
-    return tuple(v if v != IDLE else next(free) for v in row)
+    log2_exact(len(row))  # width must be a power of two
+    return _complete_row(row, 0)
 
 
 def _complete_numpy(np, rows):
@@ -163,23 +165,17 @@ def _complete_numpy(np, rows):
 
 
 def _complete_fallback(rows):
+    width = len(rows[0])
+    log2_exact(width)
     completed: List[Row] = []
     active: List[Tuple[bool, ...]] = []
-    width = None
     for index, row in enumerate(rows):
-        n = len(row)
-        if width is None:
-            log2_exact(n)
-            width = n
-        elif n != width:
+        if len(row) != width:
             raise InvalidParameterError(
-                f"partial row {index} has width {n}, expected {width}")
-        checked = _validate_row(row, n, index)
-        used = set(v for v in checked if v != IDLE)
-        free = iter(sorted(set(range(n)) - used))
-        completed.append(tuple(
-            v if v != IDLE else next(free) for v in checked))
-        active.append(tuple(v != IDLE for v in checked))
+                f"partial row {index} has width {len(row)}, expected "
+                f"{width}")
+        completed.append(_complete_row(row, index))
+        active.append(tuple(int(v) != IDLE for v in row))
     return completed, active
 
 
@@ -211,12 +207,25 @@ def batch_route_partial(rows, *, omega_mode: bool = False,
     ``omega_mode`` / ``stuck_switches`` passed straight through), and
     the answer is masked back to the active lanes."""
     completed, active = batch_complete_partial(rows)
-    if _obs.enabled():
-        _obs.inc("partial.calls")
-        _obs.inc("partial.instances", len(completed))
     result = batch_self_route(completed, omega_mode=omega_mode,
                               stuck_switches=stuck_switches,
                               parallel=parallel, engine=engine)
+    masked = mask_partial(completed, active, result.mappings)
+    if _obs.enabled():
+        _obs.inc("partial.calls")
+        _obs.inc("partial.instances", masked.batch_size)
+        for lanes in masked.active:
+            _obs.observe("partial.active_lanes", sum(lanes))
+        _obs.inc("partial.delivered",
+                 sum(sum(oks) for oks in masked.lane_ok))
+    return masked
+
+
+def mask_partial(completed, active, delivered) -> PartialBatchResult:
+    """Fold the full delivered mappings of canonically completed rows
+    back to their active lanes: an active pair ``(src, dst)`` succeeded
+    iff ``delivered[dst] == src``, and its arrival port is wherever
+    ``src``'s signal actually landed."""
     success: List[bool] = []
     lane_ok: List[Tuple[bool, ...]] = []
     arrivals: List[Tuple[Tuple[int, int], ...]] = []
@@ -226,29 +235,17 @@ def batch_route_partial(rows, *, omega_mode: bool = False,
     for b in range(len(completed)):
         row = tuple(int(v) for v in completed[b])
         mask = tuple(bool(v) for v in active[b])
-        delivered = tuple(int(v) for v in result.mappings[b])
-        inverse = {src: out for out, src in enumerate(delivered)}
-        oks: List[bool] = []
-        arr: List[Tuple[int, int]] = []
-        n_active = 0
-        for src in range(len(row)):
-            if not mask[src]:
-                continue
-            n_active += 1
-            dst = row[src]
-            oks.append(delivered[dst] == src)
-            arr.append((src, inverse[src]))
+        got = tuple(int(v) for v in delivered[b])
+        inverse = {src: out for out, src in enumerate(got)}
+        oks = tuple(got[row[src]] == src
+                    for src in range(len(row)) if mask[src])
         success.append(all(oks))
-        lane_ok.append(tuple(oks))
-        arrivals.append(tuple(arr))
-        delivered_rows.append(delivered)
+        lane_ok.append(oks)
+        arrivals.append(tuple((src, inverse[src])
+                              for src in range(len(row)) if mask[src]))
+        delivered_rows.append(got)
         completed_rows.append(row)
         active_rows.append(mask)
-        if _obs.enabled():
-            _obs.observe("partial.active_lanes", n_active)
-    if _obs.enabled():
-        _obs.inc("partial.delivered",
-                 sum(sum(oks) for oks in lane_ok))
     return PartialBatchResult(
         success_mask=tuple(success),
         lane_ok=tuple(lane_ok),

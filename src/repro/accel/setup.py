@@ -1,10 +1,10 @@
 """Vectorized **universal setup**: batch Waksman looping and the batch
 two-pass decomposition.
 
-PR 1 vectorized the *self-routing* surface (:mod:`repro.accel.batch`);
-this module vectorizes the paper's other half — the ``O(N log N)``
-serial looping setup it benchmarks against (Waksman 1968, Section I)
-and the two-pass universality construction (Section II) — so the
+:mod:`repro.accel.batch` vectorizes the *self-routing* surface; this
+module vectorizes the paper's other half — the ``O(N log N)`` serial
+looping setup it benchmarks against (Waksman 1968, Section I) and the
+two-pass universality construction (Section II) — so the
 all-``N!``-permutations path scales like the ``F(n)`` path.
 
 **Batched looping** (:func:`batch_setup_states`).  The serial algorithm
@@ -29,6 +29,9 @@ level*, every cycle of every instance at once:
   same-level sub-problems of size ``m``) so the next level is again one
   flat array pass — no recursion, no Python per cycle.
 
+The same level loop, stopped early, is the composed engine's **peel**
+(:func:`peel_level_stream`).
+
 **Batch two-pass** (:func:`batch_two_pass`).  Mirrors
 :mod:`repro.core.twopass`: run the batched looping setup, push identity
 rows through the first ``n`` switch columns with the stage plan's link
@@ -36,7 +39,7 @@ gathers to read the half-way map ``M``, compose with the cached
 inverse of the fixed all-straight wire map — one gather for
 ``omega_1`` and one scatter for ``omega_2``.
 :func:`batch_route_two_pass` then routes both factors through the
-vectorized engine (pass 1 ordinary self-routing, pass 2 with the omega
+batch engine (pass 1 ordinary self-routing, pass 2 with the omega
 bit set) and composes the delivered mappings.
 
 Per-order constants (the fixed all-straight map and its inverse) live
@@ -44,18 +47,16 @@ in a :class:`SetupPlan`, cached in the bounded LRU exposed through
 :func:`repro.accel.cache_stats` next to the topology and stage-plan
 caches.
 
-Every entry point accepts ``parallel=`` (see
-:mod:`repro.accel.executor`) and degrades to the scalar algorithms when
-NumPy is absent — identical values, element for element.
+The NumPy kernels here are the ``setup_states`` / ``two_pass`` cells of
+the ``numpy`` row of :data:`repro.accel.kernels.KERNELS`; the entry
+points go through :func:`repro.accel.batch.dispatch` like every batch
+op, so they accept ``parallel=`` and ``engine=`` and degrade to the
+scalar algorithms when NumPy is absent — identical values, element for
+element.
 """
 
 from __future__ import annotations
 
-from time import perf_counter as _perf_counter
-from typing import List, Sequence, Tuple
-
-from .. import obs as _obs
-from ..core.bits import log2_exact
 from ..core.permutation import Permutation
 from ..core.routing import BatchRouteResult
 from ..errors import (
@@ -64,16 +65,9 @@ from ..errors import (
     SizeMismatchError,
 )
 from ..obs.spans import spanned as _spanned
-from . import executor as _executor
 from ._np import numpy_or_none
-from .batch import (
-    _as_tag_array,
-    _metric_scope,
-    _resolve,
-    _swap_stage,
-    batch_self_route,
-)
-from .plans import setup_plan_cache, stage_plan
+from .batch import _as_tag_array, _realized, batch_self_route, dispatch
+from .plans import setup_plan_cache
 
 __all__ = [
     "SetupPlan",
@@ -152,21 +146,6 @@ def _as_perm_array(np, order: int, perms):
     return arr
 
 
-def _record_setup_metrics(kind: str, batch_size: int, seconds: float,
-                          scope: str = "full") -> None:
-    """Same call/work split as
-    :func:`repro.accel.batch._record_batch_metrics`: the dispatching
-    call records ``"call"`` instruments once, shards record ``"work"``
-    for their slice, the inline path records ``"full"`` (both)."""
-    if scope != "work":
-        _obs.inc(f"accel.{kind}.calls")
-        _obs.observe(f"accel.{kind}.seconds", seconds)
-        _obs.observe("accel.batch.size", batch_size,
-                     bounds=_obs.POW2_BOUNDS)
-    if scope != "call":
-        _obs.inc(f"accel.{kind}.items", batch_size)
-
-
 def _leaders(np, succ, base, steps: int):
     """Minimum-index orbit leader of every element of the **flat**
     successor array (values are flat indices, so orbits compose with
@@ -183,27 +162,24 @@ def _leaders(np, succ, base, steps: int):
     return leader
 
 
-def _setup_levels(np, plan: SetupPlan, arr):
-    """Core of the batched looping algorithm: returns the
-    ``(B, 2n-1, N/2)`` int8 states array for the validated ``(B, N)``
-    permutation array ``arr``.
+def _peel(np, order: int, arr, levels: int):
+    """The batched looping algorithm's first ``levels`` levels,
+    breadth-first, in the item format of :func:`peel_level_stream`
+    (columns left as 0/1 bool / int arrays).
 
     All gathers run on **flat** arrays with precomputed per-sub-problem
     offsets (``ndarray.take`` / fancy assignment, no ``*_along_axis``
     wrapper overhead); the stacked sub-problems of every level occupy
     contiguous flat runs, so the (batch, sub-problem) structure is
     carried entirely by index arithmetic."""
-    order = plan.order
-    n = plan.n_terminals
+    n = 1 << order
     batch = arr.shape[0]
     half = n // 2
-    states = np.empty((batch, 2 * order - 1, half), dtype=np.int8)
-
     total = batch * n
     tags = arr.astype(np.intp).ravel()  # flat working copy
     base = np.arange(total, dtype=np.intp)
     inv = np.empty(total, dtype=np.intp)
-    for level in range(order - 1):
+    for level in range(levels):
         m = n >> level
         offs = base & ~(m - 1)  # flat start of each sub-problem
         # inverse permutation of every sub-problem: inv[D[t]] = t,
@@ -220,14 +196,13 @@ def _setup_levels(np, plan: SetupPlan, arr):
         # smaller of the pair (matches the scalar states exactly).
         pairs = leader.reshape(-1, 2)
         side_even = pairs[:, 0] >= pairs[:, 1]  # side of even terminals
-        states[:, level, :] = side_even.reshape(batch, half)
+        yield ("entry", level, side_even.reshape(batch, half))
         # last column: side of the terminal feeding each even output;
         # side[t] = side_even[t >> 1] ^ (t & 1), t = inv at even slots
         sources = inv[0::2]
-        states[:, 2 * order - 2 - level, :] = (
-            side_even.take(sources >> 1) ^ (sources & 1)
-        ).reshape(batch, half)
-
+        yield ("exit", level,
+               (side_even.take(sources >> 1) ^ (sources & 1))
+               .reshape(batch, half))
         even, odd = tags[0::2], tags[1::2]
         upper = (np.where(side_even, odd, even) >> 1).reshape(-1, m // 2)
         lower = (np.where(side_even, even, odd) >> 1).reshape(-1, m // 2)
@@ -236,17 +211,32 @@ def _setup_levels(np, plan: SetupPlan, arr):
         # exactly the recursion order of the serial algorithm, so each
         # level's columns concatenate into the stage rows above.
         tags = np.stack((upper, lower), axis=1).ravel()
-    # base case m == 2: one switch per sub-problem, crossed iff the
-    # upper terminal's tag is 1.
-    states[:, order - 1, :] = tags[0::2].reshape(batch, half)
+    yield ("subs", -1, tags.reshape(batch << levels, n >> levels))
+
+
+def _setup_levels(np, order: int, arr):
+    """The ``(B, 2n-1, N/2)`` int8 states of the validated ``(B, N)``
+    permutation array ``arr``: the peel run ``order - 1`` levels deep
+    (none for order 1), then the ``m == 2`` base case — one switch per
+    sub-problem, crossed iff its upper terminal's tag is 1."""
+    batch = arr.shape[0]
+    states = np.empty((batch, 2 * order - 1, 1 << (order - 1)),
+                      dtype=np.int8)
+    for kind, level, payload in _peel(np, order, arr, order - 1):
+        if kind == "entry":
+            states[:, level, :] = payload
+        elif kind == "exit":
+            states[:, 2 * order - 2 - level, :] = payload
+        else:
+            states[:, order - 1, :] = payload[:, 0].reshape(batch, -1)
     return states
 
 
 def peel_level_stream(np, order: int, arr, levels: int):
     """Generator core of the composed-block engine's **peel**: run the
     first ``levels`` levels of the batched looping algorithm
-    (:func:`_setup_levels`, truncated) breadth-first, streaming each
-    level's two finished switch columns out the moment they exist.
+    breadth-first, streaming each level's two finished switch columns
+    out the moment they exist.
 
     Yields ``("entry", level, col)`` then ``("exit", level, col)`` per
     level — ``col`` a ``(B, N/2)`` int8 array holding global switch
@@ -257,8 +247,8 @@ def peel_level_stream(np, order: int, arr, levels: int):
     block ``k`` of instance ``b``, whose switch columns occupy slice
     ``[k*w, (k+1)*w)`` (``w = N >> (levels + 1)``) of the global
     columns ``levels .. 2*order-2-levels``.  Assembling the yielded
-    pieces reproduces :func:`_setup_levels` byte for byte (pinned by
-    ``tests/test_composed.py``).
+    pieces reproduces :func:`batch_setup_states` byte for byte (pinned
+    by ``tests/test_composed.py``).
 
     Peak working memory is ``O(B * N)`` machine words — never the
     ``O(B * N * order)`` full state tensor, which is the point: the
@@ -269,46 +259,41 @@ def peel_level_stream(np, order: int, arr, levels: int):
             f"peel depth must satisfy 1 <= levels <= order - 1; got "
             f"levels={levels} for order {order}"
         )
-    n = 1 << order
-    batch = arr.shape[0]
-    half = n // 2
-    total = batch * n
-    tags = arr.astype(np.intp).ravel()
-    base = np.arange(total, dtype=np.intp)
-    inv = np.empty(total, dtype=np.intp)
-    for level in range(levels):
-        m = n >> level
-        offs = base & ~(m - 1)
-        inv[tags + offs] = base
-        partner_tags = tags.reshape(-1, 2)[:, ::-1].ravel()
-        succ = inv.take((partner_tags ^ 1) + offs)
-        leader = _leaders(np, succ, base,
-                          steps=max(1, order - level - 1))
-        pairs = leader.reshape(-1, 2)
-        side_even = pairs[:, 0] >= pairs[:, 1]
-        yield ("entry", level,
-               side_even.reshape(batch, half).astype(np.int8))
-        sources = inv[0::2]
-        yield ("exit", level,
-               (side_even.take(sources >> 1) ^ (sources & 1))
-               .reshape(batch, half).astype(np.int8))
-        even, odd = tags[0::2], tags[1::2]
-        upper = (np.where(side_even, odd, even) >> 1).reshape(-1, m // 2)
-        lower = (np.where(side_even, even, odd) >> 1).reshape(-1, m // 2)
-        tags = np.stack((upper, lower), axis=1).ravel()
-    yield ("subs", -1, tags.reshape(batch << levels, n >> levels))
+    for kind, level, payload in _peel(np, order, arr, levels):
+        yield kind, level, (payload if kind == "subs"
+                            else payload.astype(np.int8))
 
 
-@_spanned("batch.setup")
+def numpy_setup_states(perms, *, order: int):
+    """The ``numpy`` kernel of :func:`batch_setup_states`."""
+    np = numpy_or_none()
+    return _setup_levels(np, order, _as_perm_array(np, order, perms))
+
+
+def numpy_two_pass(perms, *, order: int):
+    """The ``numpy`` kernel of :func:`batch_two_pass`."""
+    np = numpy_or_none()
+    arr = _as_perm_array(np, order, perms)
+    # M: where each input sits after the first n switch columns.
+    middle = _realized(np, _setup_levels(np, order, arr), order, order)
+    # omega_1 = M ∘ M_straight^{-1}  (gather), then
+    # omega_2 = omega_1^{-1} ∘ D    (scatter: second[first[i]] = D[i]).
+    first = setup_plan(order).np_straight_inverse()[middle]
+    second = np.empty_like(arr)
+    np.put_along_axis(second, first, arr, axis=1)
+    return first, second
+
+
 def batch_setup_states(order: int, perms, *, parallel=False,
                        engine=None):
     """Switch states realizing a whole batch of **arbitrary**
-    permutations on ``B(order)`` — the vectorized equivalent of
+    permutations on ``B(order)`` — the batched equivalent of
     ``[setup_states(p) for p in perms]``, byte-identical to the serial
     looping algorithm of :mod:`repro.core.waksman`.
 
     Args:
-        perms: ``(B, N)`` array-like; every row must be a permutation.
+        perms: ``(B, N)`` array-like; every row must be a permutation
+            and ``B >= 1``.
         parallel: shard the batch across worker processes above the
             executor threshold (``True`` for ``os.cpu_count()`` workers,
             an int for an explicit worker count).
@@ -316,7 +301,6 @@ def batch_setup_states(order: int, perms, *, parallel=False,
             :func:`repro.accel.batch_self_route`.  The looping side
             assignment has no bit-sliced formulation, so
             ``"bitslice"`` here runs the scalar algorithm per instance
-            (see :func:`repro.accel.bitslice.bitslice_setup_states`)
             and ``auto`` resolves to numpy-or-scalar.
 
     Returns:
@@ -324,180 +308,27 @@ def batch_setup_states(order: int, perms, *, parallel=False,
         nested state lists on the pure-Python engines) that plugs
         straight into :func:`repro.accel.batch_route_with_states`.
     """
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    try:
-        b_hint = len(perms)
-    except TypeError:
-        b_hint = None
-    engine = _resolve(engine, order=order, batch_size=b_hint,
-                      kind="setup")
-    if engine == "composed":
-        from .composed import composed_setup_states
-
-        result = composed_setup_states(order, perms, parallel=parallel)
-        if enabled:
-            _record_setup_metrics("setup", len(result),
-                                  _perf_counter() - t0,
-                                  scope=_metric_scope())
-        return result
-    if engine != "numpy":
-        rows = perms if isinstance(perms, list) else list(perms)
-        if _executor.wants_shards(parallel, len(rows)):
-            result = _executor.dispatch(
-                "setup_states", rows, extra=(order, engine),
-                parallel=parallel
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_setup_metrics("setup", len(rows),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_setup_states
-
-            result = bitslice_setup_states(order, rows)
-        else:
-            from ..core.waksman import setup_states
-
-            result = [setup_states(p) for p in rows]
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_setup_metrics("setup", len(result),
-                                  _perf_counter() - t0, scope=scope)
-        return result
-    arr = _as_perm_array(np, order, perms)
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        result = _executor.dispatch(
-            "setup_states", arr, extra=(order, "numpy"),
-            parallel=parallel
-        )
-        if enabled:
-            _record_setup_metrics("setup", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return result
-    states = _setup_levels(np, setup_plan(order), arr)
-    if enabled:
-        _record_setup_metrics("setup", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              scope=_metric_scope())
-    return states
+    return dispatch("setup_states", perms, engine=engine,
+                    parallel=parallel, order=order)
 
 
-def _first_half_maps(np, order: int, states):
-    """Where each input of each instance sits after the first ``n``
-    switch columns — the batched
-    :func:`repro.core.twopass._first_half_map`: returns ``middle`` with
-    ``middle[b, source] = row``."""
-    plan = stage_plan(order)
-    n = plan.n_terminals
-    batch = states.shape[0]
-    inv_links = plan.np_inv_links()
-    dtype = np.int32 if order <= 31 else np.int64
-    rows = np.repeat(np.arange(n, dtype=dtype)[:, None], batch, axis=1)
-    for stage in range(order):
-        cond = states[:, stage, :].T.astype(dtype)
-        _swap_stage(rows, cond)
-        if stage < order - 1:
-            rows = rows[inv_links[stage]]
-    # rows[row, b] = source occupying that row -> middle[b, source] = row
-    sources = rows.T.astype(np.int64)
-    middle = np.empty_like(sources)
-    np.put_along_axis(
-        middle, sources,
-        np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)),
-        axis=1,
-    )
-    return middle
-
-
-@_spanned("batch.two_pass")
 def batch_two_pass(order: int, perms, *, parallel=False, engine=None):
     """Factor a whole batch of arbitrary permutations for two-pass
     universal routing: returns ``(omega_1, omega_2)`` as ``(B, N)``
     arrays with ``omega_2[omega_1] == perms`` row-wise, ``omega_1``
     inverse-omega (self-routable) and ``omega_2`` omega (routable with
-    the omega bit set) — the vectorized equivalent of
+    the omega bit set) — the batched equivalent of
     ``[two_pass_decomposition(p) for p in perms]``, identical factors.
 
     On the pure-Python engines both factors are lists of tuples;
     ``engine="bitslice"`` pushes the first-half map through the switch
     columns lane-parallel (scalar side assignment, bit-sliced transit
-    — see :func:`repro.accel.bitslice.bitslice_two_pass`).
+    — see :func:`repro.accel.bitslice.bitslice_two_pass`), and
+    ``"composed"`` runs on its inner engine (the factorization reads
+    the global first-half map; it does not block-decompose).
     """
-    np = numpy_or_none()
-    enabled = _obs.enabled()
-    t0 = _perf_counter() if enabled else 0.0
-    try:
-        b_hint = len(perms)
-    except TypeError:
-        b_hint = None
-    engine = _resolve(engine, order=order, batch_size=b_hint,
-                      kind="setup")
-    if engine == "composed":
-        # The two-pass factorization reads the *global* first-half map —
-        # it does not block-decompose — so a composed request delegates
-        # to the composed engine's own inner engine; the factors are
-        # identical either way.
-        engine = "numpy" if np is not None else "scalar"
-    if engine != "numpy":
-        rows = perms if isinstance(perms, list) else list(perms)
-        if _executor.wants_shards(parallel, len(rows)):
-            result = _executor.dispatch(
-                "two_pass", rows, extra=(order, engine),
-                parallel=parallel
-            )
-            if enabled:
-                if np is None:
-                    _obs.inc("accel.fallback.calls")
-                _record_setup_metrics("two_pass", len(rows),
-                                      _perf_counter() - t0, scope="call")
-            return result
-        scope = _metric_scope()
-        if engine == "bitslice":
-            from .bitslice import bitslice_two_pass
-
-            firsts, seconds = bitslice_two_pass(order, rows)
-        else:
-            from ..core.twopass import two_pass_decomposition
-
-            firsts, seconds = [], []
-            for p in rows:
-                first, second = two_pass_decomposition(p)
-                firsts.append(first.as_tuple())
-                seconds.append(second.as_tuple())
-        if enabled:
-            if np is None and scope == "full":
-                _obs.inc("accel.fallback.calls")
-            _record_setup_metrics("two_pass", len(firsts),
-                                  _perf_counter() - t0, scope=scope)
-        return firsts, seconds
-    arr = _as_perm_array(np, order, perms)
-    if _executor.wants_shards(parallel, arr.shape[0]):
-        result = _executor.dispatch(
-            "two_pass", arr, extra=(order, "numpy"), parallel=parallel
-        )
-        if enabled:
-            _record_setup_metrics("two_pass", int(arr.shape[0]),
-                                  _perf_counter() - t0, scope="call")
-        return result
-    plan = setup_plan(order)
-    states = _setup_levels(np, plan, arr)
-    middle = _first_half_maps(np, order, states)
-    # omega_1 = M ∘ M_straight^{-1}  (gather), then
-    # omega_2 = omega_1^{-1} ∘ D    (scatter: second[first[i]] = D[i]).
-    first = plan.np_straight_inverse()[middle]
-    second = np.empty_like(arr)
-    np.put_along_axis(second, first, arr, axis=1)
-    if enabled:
-        _record_setup_metrics("two_pass", int(arr.shape[0]),
-                              _perf_counter() - t0,
-                              scope=_metric_scope())
-    return first, second
+    return dispatch("two_pass", perms, engine=engine, parallel=parallel,
+                    order=order)
 
 
 @_spanned("batch.route_two_pass")
@@ -505,9 +336,9 @@ def batch_route_two_pass(order: int, perms, *, parallel=False,
                          engine=None) -> BatchRouteResult:
     """Route a batch of arbitrary permutations by two self-routed
     transits each — factor with :func:`batch_two_pass`, route pass 1
-    through the ordinary vectorized engine and pass 2 with the omega
-    bit set, and compose the delivered mappings.  ``engine`` forwards
-    to both the factorization and the two transits.
+    through the ordinary batch engine and pass 2 with the omega bit
+    set, and compose the delivered mappings.  ``engine`` forwards to
+    both the factorization and the two transits.
 
     Returns a :class:`~repro.core.routing.BatchRouteResult` whose
     ``mappings`` row ``b`` is the composed input -> position-of-signal
@@ -538,25 +369,3 @@ def batch_route_two_pass(order: int, perms, *, parallel=False,
     success = np.asarray(pass1.success_mask) \
         & np.asarray(pass2.success_mask)
     return BatchRouteResult(success_mask=success, mappings=mappings)
-
-
-def scalar_setup_loop(order: int,
-                      perms: Sequence) -> List[List[List[int]]]:
-    """Reference loop used by benchmarks and the executor's fallback
-    parity tests: the scalar looping algorithm applied per instance."""
-    from ..core.waksman import setup_states
-
-    return [setup_states(p) for p in perms]
-
-
-def scalar_two_pass_loop(order: int, perms: Sequence
-                         ) -> Tuple[List[tuple], List[tuple]]:
-    """Reference loop: scalar two-pass decomposition per instance."""
-    from ..core.twopass import two_pass_decomposition
-
-    firsts, seconds = [], []
-    for p in perms:
-        first, second = two_pass_decomposition(p)
-        firsts.append(first.as_tuple())
-        seconds.append(second.as_tuple())
-    return firsts, seconds

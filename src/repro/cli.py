@@ -44,9 +44,10 @@ Permutations are comma-separated destination-tag lists.
 
 ``benes route|bench|verify|serve`` share one option block —
 ``--engine/--parallel/--seed/--profile`` — defined once in
-:func:`_shared_engine_parent`; its ``--engine`` choices come from the
-:mod:`repro.engines` registry, and the resolution precedence is
-documented there (and only there).
+:func:`_shared_engine_parent`; its ``--engine`` choices are the rows of
+the kernel table (:data:`repro.accel.KERNELS`), and the resolution
+precedence is documented at :func:`repro.accel.resolve_engine` (and
+only there).
 
 ``benes route D --profile`` emits a JSON-lines event trace on stderr
 while routing; ``benes bench --profile`` runs the sweep with metrics
@@ -203,9 +204,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
                          "3,1,2,0, or --order N for the streaming "
                          "million-port mode")
     if args.engine not in (None, "auto"):
-        # Cross-check the name against the registry even though the
-        # structural trace route is engine-independent — a typo should
-        # fail identically across every subcommand.
+        # Cross-check the name against the kernel table even though
+        # the structural trace route is engine-independent — a typo
+        # should fail identically across every subcommand.
         from .engines import require_exec
 
         require_exec(args.engine)
@@ -472,7 +473,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     engines = None
     if args.engines:
         engines = tuple(args.engines.replace(" ", "").split(","))
-        # Validated against the FULL registry view: opt-in engines
+        # Validated against the FULL engine table: opt-in engines
         # (e.g. the live-daemon "serve" adapter) are reachable by
         # explicit name even though default sweeps exclude them.
         unknown = [e for e in engines
@@ -720,10 +721,9 @@ def _serve_smoke(config, count: int, *, seed: int) -> int:
 def _shared_engine_parent() -> argparse.ArgumentParser:
     """The option block ``route``/``bench``/``verify``/``serve``
     share: ``--engine/--parallel/--seed/--profile``, defined exactly
-    once.  The ``--engine`` choices come from the
-    :mod:`repro.engines` registry (registering an engine extends every
-    subcommand at once); per-command seed defaults are installed with
-    ``set_defaults`` on each subparser."""
+    once.  The ``--engine`` choices are the kernel table's rows;
+    per-command seed defaults are installed with ``set_defaults`` on
+    each subparser."""
     from .engines import exec_engine_names
 
     parent = argparse.ArgumentParser(add_help=False)
@@ -733,11 +733,11 @@ def _shared_engine_parent() -> argparse.ArgumentParser:
         "--engine", default=None,
         choices=tuple(exec_engine_names()) + ("auto",),
         help="execution engine for batched work; resolution "
-             "precedence (enforced by the repro.engines registry): "
-             "explicit --engine > the FORCE_ENGINE test hook > the "
-             "BENES_ENGINE environment variable > 'auto' policy "
-             "(NumPy when available, else the measured "
-             "scalar/bitslice crossover)")
+             "precedence: explicit --engine > the FORCE_ENGINE test "
+             "hook > the BENES_ENGINE environment variable > 'auto' "
+             "policy (composed at order >= BENES_COMPOSED_ORDER, else "
+             "NumPy when available, else bitslice for batches of 3+ "
+             "rows and scalar below)")
     group.add_argument(
         "--parallel", action="store_true",
         help="shard batches above the executor threshold across "

@@ -107,11 +107,12 @@ def plan_batch(perms: Sequence[PermutationLike],
     planner's dominant cost — pushed through the vectorized engine
     (:func:`repro.accel.batch_in_class_f`); ``parallel`` forwards to
     the shard executor and ``engine`` to the engine seam (``None`` =
-    auto-pick among scalar / NumPy / bitslice from measured per-order
-    crossover data, overridable via ``BENES_ENGINE``; at or above the
-    composed threshold — order 14 by default, ``BENES_COMPOSED_ORDER``
-    — auto picks ``"composed"``, the block-decomposing engine whose
-    streamed chunks keep large-N memory bounded).  Plans are
+    auto-pick: NumPy when available, else bitslice for batches of 3+
+    rows and scalar below, overridable via ``BENES_ENGINE``; at or
+    above the composed threshold — order 14 by default,
+    ``BENES_COMPOSED_ORDER`` — auto picks ``"composed"``, the
+    block-decomposing engine whose streamed chunks keep large-N memory
+    bounded).  Plans are
     identical to ``[plan(p) for p in perms]``, order preserved.
     """
     from .accel.batch import batch_in_class_f

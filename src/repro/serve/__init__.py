@@ -14,7 +14,7 @@ Modules:
 - :mod:`~repro.serve.coalescer` — the synchronous size/latency-cutoff
   batching state machine (fake-clock testable);
 - :mod:`~repro.serve.daemon` — the asyncio server, engine dispatch
-  through the :mod:`repro.engines` registry, span instrumentation;
+  through :func:`repro.accel.resolve_engine`, span instrumentation;
 - :mod:`~repro.serve.client` — the pipelining sync client;
 - :mod:`~repro.serve.lifecycle` — the server-lifecycle contract
   (``SO_REUSEADDR``, clean-interrupt shutdown, observability flush)

@@ -18,7 +18,7 @@ Dataflow per request::
                                            │          └─ fan responses
                                            └─ REJECT ── "rejected"
 
-Engine dispatch goes through the first-class registry seam
+Engine dispatch goes through the engine seam
 (:func:`repro.accel.resolve_engine` — explicit config engine >
 ``BENES_ENGINE`` > auto) once per batch, and the resolved name is
 stamped on every response.  The blocking engine call runs in a worker
@@ -83,8 +83,8 @@ class ServeConfig:
         queue_limit: total queued requests before backpressure
             rejects.
         engine: fixed execution engine for every batch, or ``None``
-            for per-batch auto resolution (registry precedence:
-            explicit > ``BENES_ENGINE`` > auto).
+            for per-batch auto resolution (precedence: explicit >
+            ``BENES_ENGINE`` > auto).
         parallel: passed through to the accel entry points — batches
             above the executor threshold shard across worker
             processes.

@@ -1,13 +1,12 @@
 """``repro.verify`` — the differential verification subsystem.
 
-Four engine generations claim to implement the same paper: the
-structural scalar network, the integer fast path, the vectorized batch
-kernel (NumPy and fallback), and the sharded executor.  This package
-*proves* they agree instead of assuming it:
+Every batch kernel (scalar loop, NumPy, bitslice, composed), the
+sharded executor and the ``serve`` daemon claim to implement the same
+paper as the structural network.  This package *proves* they agree
+instead of assuming it:
 
-- :mod:`~repro.verify.engines` — every engine behind one normalized
-  adapter interface (plus environment toggles and a deliberately
-  broken mutant for self-testing);
+- :mod:`repro.engines` — every engine behind one normalized adapter
+  interface per comparison family (plus environment toggles);
 - :mod:`~repro.verify.workloads` — seeded permutation / tag-vector
   generators mixing random, ``F(n)``, structured, and Theorem-4 inputs;
 - :mod:`~repro.verify.fuzzer` — the pairwise comparison core across
@@ -17,7 +16,8 @@ kernel (NumPy and fallback), and the sharded executor.  This package
 - :mod:`~repro.verify.shrink` — counterexample minimization emitting
   ready-to-paste regression tests;
 - :mod:`~repro.verify.harness` — the seeded, time-budgeted campaign
-  driver behind ``benes verify``.
+  driver behind ``benes verify``, with a deliberately broken mutant
+  engine for its self-test.
 
 Submodules load lazily (mirroring :mod:`repro.accel`) so importing
 ``repro`` never pays for the verifier.
@@ -53,29 +53,29 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "Disagreement": "fuzzer",
-    "EngineRun": "engines",
-    "FaultCampaignReport": "faults",
-    "MEMBERSHIP_ENGINES": "engines",
-    "PARTIAL_ENGINES": "engines",
-    "SELF_ROUTE_ENGINES": "engines",
-    "STATES_ENGINES": "engines",
-    "ShrinkResult": "shrink",
-    "VerifyConfig": "harness",
-    "VerifyReport": "harness",
-    "check_membership": "fuzzer",
-    "check_partial": "fuzzer",
-    "check_selfroute": "fuzzer",
-    "check_twopass": "fuzzer",
-    "check_universal": "fuzzer",
-    "force_fallback": "engines",
-    "low_shard_threshold": "engines",
-    "mutant_self_route_engine": "engines",
-    "regression_test_source": "shrink",
-    "run_campaign": "faults",
-    "run_engine": "engines",
-    "run_self_test": "harness",
-    "run_verify": "harness",
+    "Disagreement": ".fuzzer",
+    "EngineRun": "repro.engines",
+    "FaultCampaignReport": ".faults",
+    "MEMBERSHIP_ENGINES": "repro.engines",
+    "PARTIAL_ENGINES": "repro.engines",
+    "SELF_ROUTE_ENGINES": "repro.engines",
+    "STATES_ENGINES": "repro.engines",
+    "ShrinkResult": ".shrink",
+    "VerifyConfig": ".harness",
+    "VerifyReport": ".harness",
+    "check_membership": ".fuzzer",
+    "check_partial": ".fuzzer",
+    "check_selfroute": ".fuzzer",
+    "check_twopass": ".fuzzer",
+    "check_universal": ".fuzzer",
+    "force_fallback": "repro.engines",
+    "low_shard_threshold": "repro.engines",
+    "mutant_self_route_engine": ".harness",
+    "regression_test_source": ".shrink",
+    "run_campaign": ".faults",
+    "run_engine": "repro.engines",
+    "run_self_test": ".harness",
+    "run_verify": ".harness",
 }
 
 # ``shrink`` (the function) shares its name with the submodule it lives
@@ -94,7 +94,7 @@ def __getattr__(name: str):
         )
     from importlib import import_module
 
-    module = import_module(f".{module_name}", __name__)
+    module = import_module(module_name, __name__)
     value = getattr(module, name)
     globals()[name] = value
     return value

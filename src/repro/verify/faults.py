@@ -14,7 +14,7 @@ switch is left to disturb.
 :func:`run_campaign` turns that dichotomy into a checked artifact: for
 every single stuck-at fault ``(stage, switch, state)`` — the exhaustive
 sweep — it routes the same permutation batch through the structural
-scalar oracle (``BenesNetwork.route``) and the vectorized batch engine,
+oracle (``BenesNetwork.route``) and every batch kernel,
 demands byte-identical success masks, delivered mappings, *and* switch
 states, and classifies each actual control flip as masked or fatal.
 The resulting :class:`FaultCampaignReport` records the per-stage
@@ -29,9 +29,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..accel.kernels import KERNELS
 from ..core.benes import BenesNetwork
 from ..core.sampling import random_class_f
-from .engines import SELF_ROUTE_ENGINES, EngineRun
+from ..engines import ALL_SELF_ROUTE_ENGINES, SELF_ROUTE_ENGINES
 from .fuzzer import Disagreement, _compare_runs
 
 __all__ = ["FaultCampaignReport", "StageSummary", "run_campaign"]
@@ -109,34 +110,23 @@ def _campaign_perms(order: int, n_perms: int,
     return rows[:n_perms]
 
 
-def _scalar_oracle(net: BenesNetwork, rows: Sequence[Row],
-                   stuck: Optional[dict]) -> EngineRun:
-    success, mappings, states = [], [], []
-    for row in rows:
-        result = net.route(row, trace=True, stuck_switches=stuck)
-        success.append(result.success)
-        mappings.append(tuple(int(v) for v in result.delivered))
-        states.append(tuple(
-            tuple(int(s) for s in trace.states)
-            for trace in result.stages
-        ))
-    return EngineRun("scalar", tuple(success), tuple(mappings),
-                     tuple(states))
-
-
 def run_campaign(order: int, *, rng: random.Random,
                  n_perms: int = 12,
-                 engines: Sequence[str] = ("fastpath", "batch",
-                                           "bitslice"),
+                 engines: Optional[Sequence[str]] = None,
                  ) -> FaultCampaignReport:
     """Exhaustive single-fault sweep at ``order``: every
     ``(stage, switch, stuck_state)`` triple, the same ``n_perms``-row
-    batch of ``F(order)`` members, scalar oracle vs each engine in
-    ``engines`` — state-for-state."""
+    batch of ``F(order)`` members, structural oracle vs each engine in
+    ``engines`` (default: every kernel available here) —
+    state-for-state."""
+    if engines is None:
+        engines = tuple(name for name in SELF_ROUTE_ENGINES
+                        if name in KERNELS)
     net = BenesNetwork(order)
     half = net.n_terminals // 2
     rows = _campaign_perms(order, n_perms, rng)
-    healthy = _scalar_oracle(net, rows, None)
+    oracle_of = ALL_SELF_ROUTE_ENGINES["oracle"]
+    healthy = oracle_of(rows, order)
     report = FaultCampaignReport(
         order=order, n_perms=len(rows),
         n_faults=net.n_stages * half * 2, engines=tuple(engines),
@@ -153,11 +143,11 @@ def run_campaign(order: int, *, rng: random.Random,
         for switch in range(half):
             for state in (0, 1):
                 stuck = {(stage, switch): state}
-                oracle = _scalar_oracle(net, rows, stuck)
+                oracle = oracle_of(rows, order, stuck_switches=stuck)
                 options = {"omega_mode": False,
                            "stuck_switches": stuck}
                 for name in engines:
-                    candidate = SELF_ROUTE_ENGINES[name](
+                    candidate = ALL_SELF_ROUTE_ENGINES[name](
                         rows, order, stuck_switches=stuck
                     )
                     report.disagreements.extend(_compare_runs(

@@ -3,8 +3,8 @@ engine pair and report any field that differs.
 
 Four comparison families mirror the repo's four public surfaces:
 
-- **selfroute** — :data:`~repro.verify.engines.SELF_ROUTE_ENGINES`
-  (scalar / fastpath / batch / batch-fallback / sharded) on the same
+- **selfroute** — :data:`~repro.engines.SELF_ROUTE_ENGINES` (the
+  structural oracle, every kernel, the sharded executor) on the same
   tag vectors, with optional omega mode and fault injection; success
   flags, delivered mappings, and per-stage switch states must all be
   byte-identical, the strongest equivalence the engines promise.
@@ -13,9 +13,10 @@ Four comparison families mirror the repo's four public surfaces:
   success and the active lanes' arrival outputs, masked through every
   engine via the one canonical completion, must match the scalar
   oracle byte-for-byte — the packet subsystem's call-model parity.
-- **membership** — Theorem-1 recursion vs the batch verdict (both NumPy
-  legs) vs actual routing success; the paper's membership ≡ routability
-  equivalence, cross-engine.
+- **membership** — the Theorem-1 recursion vs every kernel's batch
+  verdict (the NumPy, bit-sliced and composed kernels decide by
+  routing); the paper's membership ≡ routability equivalence,
+  cross-engine.
 - **universal** — Waksman looping setup: scalar vs batch setup states
   byte-for-byte, then the realized permutation under those states via
   every external-state engine, checked against the requested
@@ -54,7 +55,7 @@ from ..accel.setup import (
 )
 from ..core.twopass import two_pass_decomposition
 from ..core.waksman import setup_states
-from .engines import (
+from ..engines import (
     MEMBERSHIP_ENGINES,
     PARTIAL_ENGINES,
     SELF_ROUTE_ENGINES,
@@ -170,7 +171,7 @@ def check_selfroute(rows: Sequence[Row], order: int, *,
                     engines: Optional[Dict[str, object]] = None,
                     ) -> List[Disagreement]:
     """Route ``rows`` through every self-routing engine and compare all
-    of them against the scalar oracle (first engine in the mapping).
+    of them against the oracle (first engine in the mapping).
 
     ``engines`` overrides the engine set — the self-test injects a
     mutant here; tests can drop the spawn-pool ``sharded`` entry."""

@@ -30,16 +30,19 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs as _obs
 from ..accel import have_numpy
-from .engines import (
+from ..accel.plans import cached_topology
+from ..core.bits import log2_exact
+from ..engines import (
+    ALL_SELF_ROUTE_ENGINES,
     MEMBERSHIP_ENGINES,
     PARTIAL_ENGINES,
     SELF_ROUTE_ENGINES,
     STATES_ENGINES,
-    mutant_self_route_engine,
+    EngineRun,
 )
 from .faults import run_campaign
 from .fuzzer import (
@@ -54,8 +57,8 @@ from .fuzzer import (
 from .shrink import regression_test_source, shrink
 from .workloads import partial_rows, perm_rows, tag_rows
 
-__all__ = ["VerifyConfig", "VerifyReport", "run_self_test",
-           "run_verify"]
+__all__ = ["VerifyConfig", "VerifyReport", "mutant_self_route_engine",
+           "run_self_test", "run_verify"]
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -210,6 +213,71 @@ def _shrink_and_record(report: VerifyReport, disagreement: Disagreement,
     _obs.inc("verify.disagreements")
 
 
+# ----------------------------------------------------------------------
+# Deliberate mutant (self-test target)
+# ----------------------------------------------------------------------
+
+def mutant_self_route_engine(mutate_stage: int
+                             ) -> Callable[..., EngineRun]:
+    """A self-routing engine with an injected control-bit bug: in
+    column ``mutate_stage`` every switch reads bit ``b ^ 1`` of its
+    upper input's tag instead of bit ``b``.  Everything else — links,
+    omega forcing, fault injection — matches the scalar fast path, so
+    any disagreement the fuzzer reports against the oracle is exactly
+    the planted bug.  Used by the verify self-test to prove the
+    pipeline catches (and shrinks) real control-logic regressions."""
+
+    def _engine(rows, order, *, omega_mode=False,
+                stuck_switches=None) -> EngineRun:
+        topology = cached_topology(order)
+        success_out, mappings, states_out = [], [], []
+        omega_stages = order - 1 if omega_mode else 0
+        stuck_all = stuck_switches or {}
+        for row in rows:
+            n = len(row)
+            log2_exact(n)  # validates power-of-two width
+            rows_tag = list(row)
+            rows_src = list(range(n))
+            per_stage: List[Tuple[int, ...]] = []
+            for stage in range(topology.n_stages):
+                ctrl = min(stage, 2 * order - 2 - stage)
+                if stage == mutate_stage:
+                    ctrl ^= 1  # the planted bug: wrong tag bit
+                column = []
+                for i in range(n // 2):
+                    if (stage, i) in stuck_all:
+                        s = 1 if stuck_all[(stage, i)] else 0
+                    elif stage < omega_stages:
+                        s = 0
+                    else:
+                        s = (rows_tag[2 * i] >> ctrl) & 1
+                    if s:
+                        rows_tag[2 * i], rows_tag[2 * i + 1] = (
+                            rows_tag[2 * i + 1], rows_tag[2 * i]
+                        )
+                        rows_src[2 * i], rows_src[2 * i + 1] = (
+                            rows_src[2 * i + 1], rows_src[2 * i]
+                        )
+                    column.append(s)
+                per_stage.append(tuple(column))
+                if stage < topology.n_stages - 1:
+                    link = topology.links[stage]
+                    new_tag = [0] * n
+                    new_src = [0] * n
+                    for r in range(n):
+                        new_tag[link[r]] = rows_tag[r]
+                        new_src[link[r]] = rows_src[r]
+                    rows_tag, rows_src = new_tag, new_src
+            success_out.append(all(rows_tag[r] == r for r in range(n)))
+            mappings.append(tuple(rows_src))
+            states_out.append(tuple(per_stage))
+        return EngineRun(f"mutant(stage={mutate_stage})",
+                        tuple(success_out), tuple(mappings),
+                        tuple(states_out))
+
+    return _engine
+
+
 def run_self_test(seed: int = 0, *, order: int = 3,
                   batch: int = 16) -> Dict[str, object]:
     """Plant a control-bit mutant (wrong tag bit in the first
@@ -218,7 +286,7 @@ def run_self_test(seed: int = 0, *, order: int = 3,
     rng = random.Random(seed)
     mutate_stage = order - 1
     engines = {
-        "scalar": SELF_ROUTE_ENGINES["scalar"],
+        "oracle": SELF_ROUTE_ENGINES["oracle"],
         "mutant": mutant_self_route_engine(mutate_stage),
     }
     rows = perm_rows(order, batch, rng)
@@ -236,7 +304,7 @@ def run_self_test(seed: int = 0, *, order: int = 3,
             result["shrunk"] = shrunk.to_dict()
             result["minimal"] = shrunk.batch_minimal
             result["regression_test"] = regression_test_source(
-                shrunk, "scalar", "mutant", slug="self_test")
+                shrunk, "oracle", "mutant", slug="self_test")
     return result
 
 
@@ -247,15 +315,13 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
     if config.engines is None:
         selfroute_engines = dict(SELF_ROUTE_ENGINES)
     else:
-        # Explicit subsets resolve through the FULL registry view so
-        # opt-in engines (e.g. the live `serve` daemon adapter) can be
-        # pulled into a campaign by name without joining the default
-        # sweep.
-        from ..engines import ALL_SELF_ROUTE_ENGINES
-
+        # Explicit subsets resolve through the FULL tables so opt-in
+        # engines (e.g. the live `serve` daemon adapter) can be pulled
+        # into a campaign by name without joining the default sweep;
+        # the oracle always leads, as the reference for the others.
         selfroute_engines = {
             name: ALL_SELF_ROUTE_ENGINES[name]
-            for name in config.engines
+            for name in ("oracle",) + tuple(config.engines)
         }
     report = VerifyReport(
         config=config,
@@ -294,14 +360,14 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
             legs = [(selfroute_engines, rows)]
             # duplicate-destination tag vectors are legal self-routing
             # input but not Permutations, so the structural oracle
-            # sits that leg out; fastpath (itself pinned against
-            # scalar on the first leg) takes over as oracle
-            nonscalar = {name: engine
-                         for name, engine in selfroute_engines.items()
-                         if name != "scalar"}
-            if len(nonscalar) > 1:
+            # sits that leg out; the next engine (itself pinned
+            # against the oracle on the first leg) takes over
+            others = {name: engine
+                      for name, engine in selfroute_engines.items()
+                      if name != "oracle"}
+            if len(others) > 1:
                 legs.append((
-                    nonscalar,
+                    others,
                     tag_rows(order, max(8, config.batch // 4), rng),
                 ))
             for engines, leg_rows in legs:

@@ -216,7 +216,7 @@ def regression_test_source(result: ShrinkResult,
         f"def test_verify_regression_{slug}():",
         f'    """Pinned by repro.verify.shrink: {result.signature}',
         f'    ({engine_a} vs {engine_b}, order {result.order})."""',
-        "    from repro.verify.engines import run_engine",
+        "    from repro.engines import run_engine",
         "",
         f"    rows = {[list(r) for r in result.rows]!r}",
         f"    kwargs = dict(omega_mode="

@@ -248,10 +248,11 @@ class TestEngineIntegration:
         assert resolve_engine("auto", order=6,
                               batch_size=1) == "composed"
 
-    def test_threshold_env_garbage_ignored(self, monkeypatch):
+    def test_threshold_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("BENES_COMPOSED_ORDER", "soon")
-        assert composed_order_threshold() == \
-            _np_mod.DEFAULT_COMPOSED_ORDER
+        with pytest.raises(InvalidParameterError,
+                           match="BENES_COMPOSED_ORDER='soon'"):
+            composed_order_threshold()
 
     def test_obs_provider_registered(self):
         from repro import obs
@@ -341,60 +342,6 @@ class TestVerifyAdapter:
     def test_verify_families_include_composed(self):
         from repro.verify import VerifyConfig
         assert "composed" in VerifyConfig().families
-
-
-class TestAutotunePersistence:
-    def test_probe_results_persist_and_reload(self, tmp_path,
-                                              monkeypatch):
-        from repro.accel import autotune
-        cache = tmp_path / "autotune.json"
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE", str(cache))
-        autotune.autotune_clear(persistent=True)
-        monkeypatch.setattr(_np_mod, "FORCE_FALLBACK", True)
-        autotune.choose_engine(4, 64)
-        assert cache.exists()
-        payload = json.loads(cache.read_text())
-        assert "4" in payload["orders"]
-        # a fresh process-local table reloads from disk, no re-probe
-        autotune.autotune_clear()
-        monkeypatch.setattr(autotune, "_measure",
-                            lambda order: pytest.fail("re-probed"))
-        autotune.choose_engine(4, 64)
-        assert 4 in autotune.crossover_table()
-        autotune.autotune_clear(persistent=True)
-
-    def test_inf_crossover_round_trips(self, tmp_path, monkeypatch):
-        from repro.accel import autotune
-        cache = tmp_path / "autotune.json"
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE", str(cache))
-        autotune.autotune_clear(persistent=True)
-        with autotune._LOCK:
-            autotune._TABLE[9] = {"scalar_per_item": 1.0,
-                                  "bitslice_overhead": 1.0,
-                                  "bitslice_per_item": 2.0,
-                                  "crossover": float("inf")}
-            autotune._persist_locked()
-        autotune.autotune_clear()
-        with autotune._LOCK:
-            autotune._load_disk_locked()
-        assert autotune._TABLE[9]["crossover"] == float("inf")
-        autotune.autotune_clear(persistent=True)
-
-    def test_off_disables_persistence(self, monkeypatch):
-        from repro.accel import autotune
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE", "off")
-        assert autotune.autotune_cache_path() is None
-
-    def test_corrupt_cache_ignored(self, tmp_path, monkeypatch):
-        from repro.accel import autotune
-        cache = tmp_path / "autotune.json"
-        cache.write_text("{not json")
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE", str(cache))
-        monkeypatch.setattr(_np_mod, "FORCE_FALLBACK", True)
-        autotune.autotune_clear()
-        assert autotune.choose_engine(4, 64) in ("scalar",
-                                                 "bitslice")
-        autotune.autotune_clear()
 
 
 class TestScalingGuard:

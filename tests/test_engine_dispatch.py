@@ -6,9 +6,9 @@ Covers the resolution precedence (explicit ``engine=`` keyword >
 ``FORCE_ENGINE`` monkeypatch seam > ``BENES_ENGINE`` environment
 variable > auto), cross-engine value parity for all six public entry
 points (exhaustive orders <= 3, hypothesis 4-6), the
-``accel.engine_selected`` counter, the measured-crossover auto policy,
-and the error contract (unknown names, ``engine="numpy"`` without
-NumPy).
+``accel.engine_selected`` counter, the no-NumPy auto policy (bitslice
+iff the batch holds at least ``BITSLICE_MIN_BATCH`` rows), and the error
+contract (unknown names, ``engine="numpy"`` without NumPy).
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ import repro.accel._np as _np_mod
 from repro import obs
 from repro.accel import (
     ENGINES,
-    autotune_clear,
     batch_in_class_f,
     batch_route_two_pass,
     batch_route_with_states,
     batch_self_route,
     batch_setup_states,
     batch_two_pass,
-    crossover_table,
     have_numpy,
     resolve_engine,
 )
@@ -107,13 +105,18 @@ class TestResolutionPrecedence:
 
     def test_auto_without_numpy_uses_crossover(self, monkeypatch):
         monkeypatch.setattr(_np_mod, "FORCE_FALLBACK", True)
-        autotune_clear()
-        # tiny batches stay scalar; the probe table drives the rest
-        assert resolve_engine(None, order=4, batch_size=1) == "scalar"
-        resolved = resolve_engine(None, order=4, batch_size=4096)
-        assert resolved in PURE_ENGINES
-        table = crossover_table()
-        assert 4 in table and "crossover" in table[4]
+        # the crossover is a constant: scalar below it, bitslice from it
+        crossover = _np_mod.BITSLICE_MIN_BATCH
+        assert crossover == 3
+        for order in (2, 4, 8, 12):
+            assert resolve_engine(None, order=order, batch_size=1) \
+                == "scalar"
+            assert resolve_engine(None, order=order,
+                                  batch_size=crossover - 1) == "scalar"
+            assert resolve_engine(None, order=order,
+                                  batch_size=crossover) == "bitslice"
+            assert resolve_engine(None, order=order,
+                                  batch_size=4096) == "bitslice"
 
     def test_setup_kind_never_auto_bitslice(self, monkeypatch):
         monkeypatch.setattr(_np_mod, "FORCE_FALLBACK", True)
@@ -281,3 +284,44 @@ class TestEngineSelectedCounter:
             batch_self_route(perms, engine="numpy")
             counters = obs.snapshot()["counters"]
             assert counters["accel.engine_selected.numpy"] == 1
+
+
+class TestEnvKnobs:
+    """Every integer knob the dispatch reads fails loudly on a bad
+    value: ``InvalidParameterError`` naming the variable and value."""
+
+    def test_shard_threshold(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for bad in ("abc", "0"):
+            env["BENES_SHARD_THRESHOLD"] = bad
+            proc = subprocess.run(
+                [sys.executable, "-c", "import repro.accel.executor"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode != 0
+            assert "InvalidParameterError" in proc.stderr
+            assert f"BENES_SHARD_THRESHOLD={bad!r}" in proc.stderr
+
+    def test_composed_order(self, monkeypatch):
+        monkeypatch.setenv("BENES_COMPOSED_ORDER", "fourteen")
+        with pytest.raises(InvalidParameterError,
+                           match="BENES_COMPOSED_ORDER='fourteen'"):
+            batch_self_route([(0, 1, 2, 3)])
+
+    def test_composed_sub_order(self, monkeypatch):
+        monkeypatch.setenv("BENES_COMPOSED_SUB_ORDER", "x")
+        with pytest.raises(InvalidParameterError,
+                           match="BENES_COMPOSED_SUB_ORDER='x'"):
+            batch_self_route([(0, 1, 2, 3)], engine="composed")
+
+    def test_composed_chunk(self, monkeypatch):
+        monkeypatch.setenv("BENES_COMPOSED_CHUNK", "0")
+        with pytest.raises(InvalidParameterError,
+                           match="BENES_COMPOSED_CHUNK='0'"):
+            batch_setup_states(2, [(0, 1, 2, 3)], engine="composed")
+        monkeypatch.setenv("BENES_COMPOSED_CHUNK", "4")
+        assert len(batch_setup_states(2, [(0, 1, 2, 3)],
+                                      engine="composed")) == 1

@@ -1,11 +1,11 @@
-"""The first-class engine registry (``repro.engines``).
+"""The verifier's engine tables (``repro.engines``).
 
-One registration must make an engine visible everywhere at once: the
-accel execution seam (``resolve_engine``), the verifier's capability
-views, the CLI's ``--engine`` choices, and explicit-name lookups.
+The kernel names come from the kernel table (``repro.accel.KERNELS``)
+and are what ``resolve_engine`` accepts; every family table leads with
+the oracle, then one generic adapter per kernel, then the wrappers.
 These tests pin that contract, the default/opt-in split (the
 socket-backed ``serve`` engine must never join a default sweep), and
-backward compatibility of the ``repro.verify.engines`` shim.
+that a registered engine appears in the family tables.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 from repro import engines as registry
 from repro.accel._np import resolve_engine
 from repro.core import random_permutation
-from repro.errors import InvalidParameterError, MissingDependencyError
-from repro.verify import engines as verify_shim
+from repro.errors import InvalidParameterError
 
 
 @pytest.fixture
@@ -29,9 +28,8 @@ def rows(rng):
 class TestRegistry:
     def test_builtin_engines_registered(self):
         names = registry.names()
-        for expected in ("scalar", "numpy", "fastpath", "batch",
-                         "batch-fallback", "bitslice", "sharded",
-                         "composed", "serve"):
+        for expected in ("oracle", "scalar", "numpy", "bitslice",
+                         "composed", "sharded", "serve"):
             assert expected in names
 
     def test_exec_seam_names_in_registration_order(self):
@@ -61,18 +59,21 @@ class TestRegistry:
         assert registry.register(spec, replace=True) is spec
         assert registry.get("scalar") is spec
 
-    def test_scalar_is_first_selfroute_engine(self):
-        # The verify fuzzer treats the first view entry as the oracle.
-        assert next(iter(registry.SELF_ROUTE_ENGINES)) == "scalar"
-        assert next(iter(registry.MEMBERSHIP_ENGINES)) == "theorem1"
+    def test_oracle_is_first_engine(self):
+        # The verify fuzzer treats the first table entry as the oracle.
+        for table in (registry.SELF_ROUTE_ENGINES,
+                      registry.MEMBERSHIP_ENGINES,
+                      registry.STATES_ENGINES,
+                      registry.PARTIAL_ENGINES):
+            assert next(iter(table)) == "oracle"
 
 
 class TestDefaultOptInSplit:
     def test_serve_hidden_from_default_views(self):
         assert "serve" not in registry.SELF_ROUTE_ENGINES
         assert "serve" in registry.ALL_SELF_ROUTE_ENGINES
-        assert "membership-serve" not in registry.MEMBERSHIP_ENGINES
-        assert "membership-serve" in registry.ALL_MEMBERSHIP_ENGINES
+        assert "serve" not in registry.MEMBERSHIP_ENGINES
+        assert "serve" in registry.ALL_MEMBERSHIP_ENGINES
 
     def test_default_selfroute_names_exclude_serve(self):
         names = registry.default_selfroute_names()
@@ -87,8 +88,8 @@ class TestDefaultOptInSplit:
 
 
 class TestLiveRegistration:
-    """Registering an engine extends every consumer without any other
-    call site changing."""
+    """A registered engine appears in the family tables and in
+    explicit-name lookups without any other call site changing."""
 
     def _echo_spec(self, name, **kwargs):
         def adapter(batch, order, *, omega_mode=False,
@@ -114,30 +115,6 @@ class TestLiveRegistration:
             registry._REGISTRY.pop(name, None)
         assert name not in registry.ALL_SELF_ROUTE_ENGINES
 
-    def test_new_exec_engine_extends_resolve_engine(self, rows):
-        name = "test-exec"
-        registry.register(self._echo_spec(name, exec_seam=True))
-        try:
-            assert name in registry.exec_engine_names()
-            assert resolve_engine(name) == name
-        finally:
-            registry._REGISTRY.pop(name, None)
-        with pytest.raises(InvalidParameterError):
-            resolve_engine(name)
-
-    def test_unavailable_exec_engine_raises_missing_dependency(self):
-        name = "test-gated"
-        registry.register(registry.EngineSpec(
-            name=name, exec_seam=True, available=lambda: False))
-        try:
-            with pytest.raises(MissingDependencyError):
-                registry.require_exec(name)
-            assert name not in registry.exec_engine_names(
-                available_only=True)
-            assert name in registry.exec_engine_names()
-        finally:
-            registry._REGISTRY.pop(name, None)
-
     def test_opt_out_engine_stays_out_of_default_sweeps(self, rows):
         name = "test-optout"
         registry.register(self._echo_spec(name, default=False))
@@ -149,36 +126,6 @@ class TestLiveRegistration:
             assert run.engine == "scalar"
         finally:
             registry._REGISTRY.pop(name, None)
-
-
-class TestVerifyShimBackCompat:
-    """``repro.verify.engines`` stays a working alias of the registry
-    (generated regression tests import from it by module path)."""
-
-    def test_views_are_the_same_objects(self):
-        assert (verify_shim.SELF_ROUTE_ENGINES
-                is registry.SELF_ROUTE_ENGINES)
-        assert (verify_shim.MEMBERSHIP_ENGINES
-                is registry.MEMBERSHIP_ENGINES)
-        assert verify_shim.STATES_ENGINES is registry.STATES_ENGINES
-
-    def test_run_engine_reexported(self, rows):
-        run = verify_shim.run_engine("fastpath", rows, 3)
-        oracle = registry.run_engine("scalar", rows, 3)
-        assert run.success == oracle.success
-        assert run.mappings == oracle.mappings
-
-    def test_toggles_reexported(self, rows):
-        with verify_shim.force_engine("bitslice"):
-            run = registry.run_engine("batch", rows, 3)
-        assert run.success == registry.run_engine("scalar",
-                                                  rows, 3).success
-
-    def test_mutant_engine_still_local_to_shim(self, rows):
-        mutant = verify_shim.mutant_self_route_engine(2)
-        oracle = registry.run_engine("scalar", rows, 3)
-        mutated = mutant(list(rows), 3)
-        assert mutated.mappings != oracle.mappings
 
 
 class TestResolveEngineDelegation:
@@ -219,7 +166,6 @@ class TestServeEngineAdapter:
     def test_membership_serve_matches_theorem1(self, rng):
         rows = [random_permutation(8, rng).as_tuple()
                 for _ in range(6)]
-        verdicts = registry.run_membership_engine(
-            "membership-serve", rows, 3)
-        oracle = registry.run_membership_engine("theorem1", rows, 3)
+        verdicts = registry.run_membership_engine("serve", rows, 3)
+        oracle = registry.run_membership_engine("oracle", rows, 3)
         assert verdicts == oracle

@@ -56,10 +56,10 @@ def _rows(order, batch, seed=0):
 class TestThreadShardFailures:
     def test_shard_exception_propagates(self, thread_sharding,
                                         monkeypatch):
-        def boom(payload):
+        def boom(op, rows, options):
             raise ValueError("shard exploded")
 
-        monkeypatch.setitem(_executor._TASKS, "self_route", boom)
+        monkeypatch.setattr(_executor, "_run_shard", boom)
         with pytest.raises(ValueError, match="shard exploded"):
             batch_self_route(_rows(2, 8), parallel=2)
 
@@ -67,14 +67,14 @@ class TestThreadShardFailures:
                                             monkeypatch):
         rows = _rows(2, 8, seed=1)
         marker = rows[6]
-        original = _executor._TASKS["in_class_f"]
+        original = _executor._run_shard
 
-        def poisoned(payload):
-            if any(tuple(row) == marker for row in payload[0]):
+        def poisoned(op, rows, options):
+            if any(tuple(row) == marker for row in rows):
                 raise RuntimeError("poisoned shard")
-            return original(payload)
+            return original(op, rows, options)
 
-        monkeypatch.setitem(_executor._TASKS, "in_class_f", poisoned)
+        monkeypatch.setattr(_executor, "_run_shard", poisoned)
         # the first shard is healthy — its partial result must not
         # escape as a truncated mask
         with pytest.raises(RuntimeError, match="poisoned shard"):
@@ -84,11 +84,11 @@ class TestThreadShardFailures:
                                                 monkeypatch):
         calls = []
 
-        def boom(payload):
-            calls.append(len(payload[0]))
+        def boom(op, rows, options):
+            calls.append(len(rows))
             raise ValueError("deterministic failure")
 
-        monkeypatch.setitem(_executor._TASKS, "in_class_f", boom)
+        monkeypatch.setattr(_executor, "_run_shard", boom)
         obs.enable()
         with pytest.raises(ValueError):
             batch_in_class_f(_rows(2, 8), parallel=2)
@@ -99,12 +99,12 @@ class TestThreadShardFailures:
 
     def test_executor_usable_after_failure(self, thread_sharding,
                                            monkeypatch):
-        def boom(payload):
+        def boom(op, rows, options):
             raise ValueError("transient")
 
         rows = _rows(2, 8, seed=2)
         with monkeypatch.context() as patch:
-            patch.setitem(_executor._TASKS, "in_class_f", boom)
+            patch.setattr(_executor, "_run_shard", boom)
             with pytest.raises(ValueError):
                 batch_in_class_f(rows, parallel=2)
         mask = batch_in_class_f(rows, parallel=2)
@@ -295,72 +295,3 @@ class TestShutdownDeltaFlush:
         # prior test may have left the name behind — assert the value
         counters = obs.snapshot()["counters"]
         assert counters.get("executor.delta_flush_failed", 0) == 0
-
-
-class TestAutotuneCacheIO:
-    """The persisted probe cache is best-effort, but a failed write or
-    a failed persistent clear must land on
-    ``accel.autotune.cache_io_failed`` instead of vanishing."""
-
-    @pytest.fixture(autouse=True)
-    def _isolated_table(self, monkeypatch):
-        from repro.accel import autotune as _autotune
-
-        monkeypatch.setattr(_autotune, "_TABLE", {
-            3: {"scalar_per_item": 1.0, "bitslice_overhead": 1.0,
-                "bitslice_per_item": 0.5, "crossover": 4},
-        })
-        monkeypatch.setattr(_autotune, "_DISK_LOADED", True)
-
-    def _count(self):
-        return obs.snapshot()["counters"].get(
-            "accel.autotune.cache_io_failed", 0)
-
-    def test_unwritable_cache_persist_is_counted(self, monkeypatch,
-                                                 tmp_path):
-        from repro.accel import autotune as _autotune
-
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory\n", encoding="utf-8")
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE",
-                           str(blocker / "cache.json"))
-        obs.enable()
-        with _autotune._LOCK:
-            _autotune._persist_locked()
-        assert self._count() == 1
-
-    def test_persistent_clear_unlink_failure_is_counted(
-            self, monkeypatch, tmp_path):
-        from repro.accel import autotune as _autotune
-
-        cache_dir = tmp_path / "cache-as-dir"
-        cache_dir.mkdir()
-        (cache_dir / "occupant").write_text("x\n", encoding="utf-8")
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE", str(cache_dir))
-        obs.enable()
-        _autotune.autotune_clear(persistent=True)
-        assert self._count() == 1
-
-    def test_missing_cache_file_is_not_a_fault(self, monkeypatch,
-                                               tmp_path):
-        from repro.accel import autotune as _autotune
-
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE",
-                           str(tmp_path / "never-written.json"))
-        obs.enable()
-        _autotune.autotune_clear(persistent=True)
-        assert self._count() == 0
-
-    def test_healthy_persist_round_trips(self, monkeypatch, tmp_path):
-        from repro.accel import autotune as _autotune
-
-        target = tmp_path / "cache.json"
-        monkeypatch.setenv("BENES_AUTOTUNE_CACHE", str(target))
-        obs.enable()
-        with _autotune._LOCK:
-            _autotune._persist_locked()
-        assert self._count() == 0
-        import json as _json
-
-        raw = _json.loads(target.read_text(encoding="utf-8"))
-        assert raw["orders"]["3"]["crossover"] == 4

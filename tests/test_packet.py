@@ -388,6 +388,6 @@ class TestPacketWireOp:
 
     def test_partial_engine_registry_lists_adapters(self):
         names = list(PARTIAL_ENGINES)
-        assert names[0] == "partial-scalar"  # the fuzzer's oracle
-        assert "partial-batch" in names
-        assert "partial-bitslice" in names
+        assert names[0] == "oracle"  # the fuzzer's reference
+        assert "scalar" in names
+        assert "bitslice" in names

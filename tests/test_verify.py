@@ -35,10 +35,7 @@ from repro.verify import (
     run_verify,
     shrink,
 )
-from repro.verify.engines import (
-    SELF_ROUTE_ENGINES,
-    force_fallback,
-)
+from repro.engines import SELF_ROUTE_ENGINES, force_fallback
 from repro.verify.shrink import regression_test_source
 from repro.verify.workloads import perm_rows, structured_rows, tag_rows
 
@@ -61,7 +58,7 @@ def _clean_obs():
 
 class TestEngineAdapters:
     def test_run_engine_normalizes(self):
-        run = run_engine("fastpath", [(3, 2, 1, 0), (0, 1, 2, 3)], 2)
+        run = run_engine("scalar", [(3, 2, 1, 0), (0, 1, 2, 3)], 2)
         assert run.success == (True, True)
         assert run.mappings == ((3, 2, 1, 0), (0, 1, 2, 3))
         assert len(run.states) == 2
@@ -85,7 +82,7 @@ class TestEngineAdapters:
     def test_mutant_engine_diverges_from_oracle(self):
         mutant = mutant_self_route_engine(2)  # first destination stage
         rows = perm_rows(3, 12, random.Random(0))
-        healthy = SELF_ROUTE_ENGINES["fastpath"](rows, 3)
+        healthy = SELF_ROUTE_ENGINES["scalar"](rows, 3)
         broken = mutant(rows, 3)
         assert healthy.states != broken.states
 
@@ -93,8 +90,9 @@ class TestEngineAdapters:
         rng = random.Random(1)
         rows = [tuple(rng.randrange(8) for _ in range(8))
                 for _ in range(6)]
+        # the structural oracle takes Permutations only
         nonscalar = {k: v for k, v in FAST_ENGINES.items()
-                     if k != "scalar"}
+                     if k != "oracle"}
         assert check_selfroute(rows, 3, engines=nonscalar) == []
 
 
@@ -114,7 +112,7 @@ class TestFuzzerFamilies:
 
     def test_sharded_engine_agrees(self):
         rows = perm_rows(3, 12, random.Random(3))
-        engines = {"fastpath": SELF_ROUTE_ENGINES["fastpath"],
+        engines = {"scalar": SELF_ROUTE_ENGINES["scalar"],
                    "sharded": SELF_ROUTE_ENGINES["sharded"]}
         assert check_selfroute(rows, 3, engines=engines) == []
 
@@ -199,12 +197,12 @@ class TestShrink:
         rows = perm_rows(3, 8, random.Random(9))
         result = shrink(3, rows, {"omega_mode": False,
                                   "stuck_switches": None}, check)
-        source = regression_test_source(result, "scalar", "fastpath",
+        source = regression_test_source(result, "oracle", "scalar",
                                         slug="compiles")
         compile(source, "<generated>", "exec")
         namespace = {}
         exec(source, namespace)
-        # scalar and fastpath genuinely agree, so the generated test
+        # oracle and scalar genuinely agree, so the generated test
         # body must pass when aimed at two healthy engines
         namespace["test_verify_regression_compiles"]()
 
@@ -248,7 +246,7 @@ class TestHarness:
     CONFIG = VerifyConfig(
         seed=0, budget_seconds=0.0, orders=(2, 3), batch=8,
         fault_orders=(2,), fault_perms=4,
-        engines=("scalar", "fastpath", "batch"),
+        engines=("scalar", "bitslice"),
     )
 
     def test_report_ok_and_schema(self):
@@ -295,7 +293,7 @@ class TestCLIVerify:
     ARGS = ["verify", "--seed", "0", "--budget", "0s",
             "--orders", "2,3", "--batch", "8",
             "--fault-orders", "2", "--fault-perms", "4",
-            "--engines", "scalar,fastpath,batch"]
+            "--engines", "scalar,bitslice"]
 
     def test_exit_zero_and_summary(self, capsys):
         assert main(self.ARGS) == 0
@@ -319,7 +317,7 @@ class TestCLIVerify:
                                      "--orders", "2", "--batch", "4",
                                      "--fault-orders", "2",
                                      "--engines",
-                                     "scalar,fastpath"]) == 0
+                                     "scalar,bitslice"]) == 0
 
     def test_bad_budget_rejected(self):
         with pytest.raises(SystemExit):

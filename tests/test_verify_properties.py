@@ -36,7 +36,7 @@ from repro.verify import (
     check_twopass,
     check_universal,
 )
-from repro.verify.engines import MEMBERSHIP_ENGINES, SELF_ROUTE_ENGINES
+from repro.engines import MEMBERSHIP_ENGINES, SELF_ROUTE_ENGINES
 
 #: Spawn-pool-free engine subset — property tests run hundreds of
 #: examples; worker-pool startup per example would dominate.
@@ -114,7 +114,7 @@ class TestEngineAgreement:
     @given(order_and_tags())
     def test_engines_agree_on_raw_tags(self, scenario):
         order, tags = scenario
-        engines = {k: v for k, v in ENGINES.items() if k != "scalar"}
+        engines = {k: v for k, v in ENGINES.items() if k != "oracle"}
         assert check_selfroute([tags], order, engines=engines) == []
 
     @FEW
