@@ -67,6 +67,13 @@ __all__ = [
     "start_in_thread",
 ]
 
+#: The longest request line the daemon reads, newline not counted:
+#: asyncio's default stream limit.  An order-13 route request (about
+#: 40 KB) fits; an order-14 one (about 87 KB) does not.
+_LINE_LIMIT = 64 * 1024
+
+_OVERSIZED = f"request line exceeds the {_LINE_LIMIT}-byte limit"
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -152,7 +159,7 @@ class RoutingDaemon:
                               self._root.context.span_id)
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port,
-            reuse_address=True,
+            reuse_address=True, limit=_LINE_LIMIT,
         )
 
     @property
@@ -169,7 +176,6 @@ class RoutingDaemon:
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for _key, items in self._coalescer.drain():
             self._spawn_dispatch(items)
         while self._dispatches:
@@ -195,6 +201,10 @@ class RoutingDaemon:
         while self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
+        if self._server is not None:
+            # Last: from Python 3.12.1 on this waits until every
+            # connection has dropped, which the writer closes above do.
+            await self._server.wait_closed()
         if self._root is not None:
             try:
                 self._root.finish()
@@ -236,9 +246,15 @@ class RoutingDaemon:
             try:
                 while True:
                     try:
-                        line = await reader.readline()
-                    except (ConnectionError, asyncio.IncompleteReadError):
+                        line = await _read_line(reader)
+                    except ConnectionError:
                         break
+                    if line is None:
+                        _obs.inc("serve.errors")
+                        self._write_response(
+                            writer,
+                            protocol.error_response("route", -1, _OVERSIZED))
+                        continue
                     if not line:
                         break
                     if not line.strip():
@@ -482,6 +498,29 @@ class RoutingDaemon:
         _obs.inc("serve.batches")
         _obs.observe("serve.batch_size", len(rows))
         return responses
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line, ``b""`` at end of stream, or ``None`` for a line
+    longer than :data:`_LINE_LIMIT`.  An over-long line is read and
+    dropped through its newline, so the next read starts on the next
+    request even when the rest of the line was still in flight."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # end of stream: a last unterminated line
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        try:
+            # The first `consumed` buffered bytes hold no newline.
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 # ----------------------------------------------------------------------

@@ -100,20 +100,27 @@ def wire_to_stuck(stuck: Optional[Stuck]) -> Optional[dict]:
             for stage, switch, state in stuck}
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
+#: The element types an int vector passes on its fast scan.  ``bool``
+#: is an ``int`` subclass, so an ``isinstance`` scan would pass ``True``.
+_INT_TYPES = frozenset((int,))
 
 
 def _int_tuple(values, what: str) -> Row:
-    _require(isinstance(values, (list, tuple)) and len(values) > 0,
-             f"{what} must be a non-empty list of integers")
-    out = []
-    for value in values:
-        _require(isinstance(value, int) and not isinstance(value, bool),
-                 f"{what} must contain only integers")
-        out.append(value)
-    return tuple(out)
+    if not isinstance(values, (list, tuple)) or len(values) == 0:
+        raise ProtocolError(f"{what} must be a non-empty list of integers")
+    if not _INT_TYPES.issuperset(map(type, values)):
+        # Slow path: int subclasses other than bool still pass.
+        for value in values:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ProtocolError(f"{what} must contain only integers")
+    return tuple(values)
+
+
+def _lane(values):
+    """One engine lane as Python ints: a NumPy lane converts with one
+    ``.tolist()``; the pure-Python engines already hold ints."""
+    tolist = getattr(values, "tolist", None)
+    return values if tolist is None else tolist()
 
 
 @dataclass(frozen=True)
@@ -146,32 +153,32 @@ class RouteRequest:
     v: int = PROTOCOL_VERSION
 
     def __post_init__(self):
-        _require(self.op in OPS,
-                 f"unknown op {self.op!r}; expected one of "
-                 f"{', '.join(OPS)}")
-        _require(self.v == PROTOCOL_VERSION,
-                 f"unsupported protocol version {self.v!r} "
-                 f"(this daemon speaks v{PROTOCOL_VERSION})")
+        if self.op not in OPS:
+            raise ProtocolError(f"unknown op {self.op!r}; expected one of "
+                                f"{', '.join(OPS)}")
+        if self.v != PROTOCOL_VERSION:
+            raise ProtocolError(f"unsupported protocol version {self.v!r} "
+                                f"(this daemon speaks v{PROTOCOL_VERSION})")
         object.__setattr__(self, "tags",
                            _int_tuple(self.tags, "tags"))
-        _require(isinstance(self.id, int)
-                 and not isinstance(self.id, bool),
-                 "id must be an integer")
-        _require(isinstance(self.omega_mode, bool),
-                 "omega_mode must be a boolean")
-        _require(isinstance(self.stage_states, bool),
-                 "stage_states must be a boolean")
+        if not isinstance(self.id, int) or isinstance(self.id, bool):
+            raise ProtocolError("id must be an integer")
+        if not isinstance(self.omega_mode, bool):
+            raise ProtocolError("omega_mode must be a boolean")
+        if not isinstance(self.stage_states, bool):
+            raise ProtocolError("stage_states must be a boolean")
         if self.stuck is not None:
             triples = []
-            _require(isinstance(self.stuck, (list, tuple)),
-                     "stuck must be a list of [stage, switch, state]")
+            if not isinstance(self.stuck, (list, tuple)):
+                raise ProtocolError(
+                    "stuck must be a list of [stage, switch, state]")
             for entry in self.stuck:
                 entry = _int_tuple(entry, "stuck entry")
-                _require(len(entry) == 3,
-                         "stuck entries must be "
-                         "[stage, switch, state] triples")
-                _require(entry[2] in (0, 1),
-                         "stuck state must be 0 or 1")
+                if len(entry) != 3:
+                    raise ProtocolError("stuck entries must be "
+                                        "[stage, switch, state] triples")
+                if entry[2] not in (0, 1):
+                    raise ProtocolError("stuck state must be 0 or 1")
                 triples.append(entry)
             object.__setattr__(self, "stuck", tuple(sorted(triples))
                                or None)
@@ -225,13 +232,14 @@ class RouteResponse:
     v: int = PROTOCOL_VERSION
 
     def __post_init__(self):
-        _require(self.op in OPS,
-                 f"unknown op {self.op!r} in response")
-        _require(self.status in STATUSES,
-                 f"unknown status {self.status!r}; expected one of "
-                 f"{', '.join(STATUSES)}")
-        _require(self.v == PROTOCOL_VERSION,
-                 f"unsupported protocol version {self.v!r}")
+        if self.op not in OPS:
+            raise ProtocolError(f"unknown op {self.op!r} in response")
+        if self.status not in STATUSES:
+            raise ProtocolError(f"unknown status {self.status!r}; expected "
+                                f"one of {', '.join(STATUSES)}")
+        if self.v != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol version {self.v!r}")
         if self.mapping is not None:
             object.__setattr__(self, "mapping",
                                _int_tuple(self.mapping, "mapping"))
@@ -249,8 +257,11 @@ class RouteResponse:
 # Canonical JSON encoding — one byte form per message
 # ----------------------------------------------------------------------
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def encode_request(request: RouteRequest) -> str:
@@ -260,12 +271,12 @@ def encode_request(request: RouteRequest) -> str:
         "v": request.v,
         "op": request.op,
         "id": request.id,
-        "tags": list(request.tags),
+        "tags": request.tags,
         "omega": request.omega_mode,
         "states": request.stage_states,
     }
     if request.stuck is not None:
-        payload["stuck"] = [list(t) for t in request.stuck]
+        payload["stuck"] = request.stuck
     return _canonical(payload)
 
 
@@ -282,11 +293,11 @@ def encode_response(response: RouteResponse) -> str:
     if response.success is not None:
         payload["success"] = response.success
     if response.mapping is not None:
-        payload["mapping"] = list(response.mapping)
+        payload["mapping"] = response.mapping
     if response.per_stage is not None:
-        payload["per_stage"] = list(response.per_stage)
+        payload["per_stage"] = response.per_stage
     if response.stage_states is not None:
-        payload["states"] = [list(col) for col in response.stage_states]
+        payload["states"] = response.stage_states
     if response.engine is not None:
         payload["engine"] = response.engine
     if response.error is not None:
@@ -304,21 +315,24 @@ def _parse_line(line: Union[str, bytes], what: str) -> dict:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"{what} line is not valid JSON: {exc}")
-    _require(isinstance(payload, dict),
-             f"{what} line must be a JSON object")
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"{what} line must be a JSON object")
     return payload
+
+
+_REQUEST_FIELDS = frozenset(("v", "op", "id", "tags", "omega", "states",
+                             "stuck"))
 
 
 def decode_request(line: Union[str, bytes]) -> RouteRequest:
     """Parse and validate one request line; any malformation raises
     :class:`~repro.errors.ProtocolError`."""
     payload = _parse_line(line, "request")
-    unknown = set(payload) - {"v", "op", "id", "tags", "omega",
-                              "states", "stuck"}
-    _require(not unknown,
-             f"unknown request fields: {', '.join(sorted(unknown))}")
-    _require("op" in payload and "tags" in payload,
-             "request must carry op and tags")
+    if not _REQUEST_FIELDS.issuperset(payload):
+        unknown = sorted(set(payload) - _REQUEST_FIELDS)
+        raise ProtocolError(f"unknown request fields: {', '.join(unknown)}")
+    if "op" not in payload or "tags" not in payload:
+        raise ProtocolError("request must carry op and tags")
     return RouteRequest(
         op=payload["op"],
         tags=payload["tags"],
@@ -364,16 +378,13 @@ def from_batch_result(request: RouteRequest, result, index: int,
         per_stage = tuple(int(row[index]) for row in result.per_stage)
     stage_states = None
     if request.stage_states and result.stage_states is not None:
-        stage_states = tuple(
-            tuple(int(s) for s in column)
-            for column in result.stage_states[index]
-        )
+        stage_states = _lane(result.stage_states[index])
     return RouteResponse(
         op=request.op,
         id=request.id,
         status="ok",
         success=bool(result.success_mask[index]),
-        mapping=tuple(int(v) for v in result.mappings[index]),
+        mapping=_lane(result.mappings[index]),
         per_stage=per_stage,
         stage_states=stage_states,
         engine=engine,
@@ -405,7 +416,7 @@ def from_partial_result(request: RouteRequest, result, index: int,
         id=request.id,
         status="ok",
         success=bool(result.success_mask[index]),
-        mapping=tuple(int(v) for v in result.delivered[index]),
+        mapping=_lane(result.delivered[index]),
         engine=engine,
     )
 
@@ -420,10 +431,7 @@ def from_setup_states(request: RouteRequest, states_batch, index: int,
         id=request.id,
         status="ok",
         success=True,
-        stage_states=tuple(
-            tuple(int(s) for s in column)
-            for column in states_batch[index]
-        ),
+        stage_states=_lane(states_batch[index]),
         engine=engine,
     )
 

@@ -7,24 +7,33 @@ Three layers, three test strategies:
 - **coalescer** — the synchronous state machine driven with a fake
   clock (``now`` is just a float argument);
 - **daemon** — end-to-end over real sockets: concurrent clients,
-  byte-identical parity against direct in-process engine calls,
-  backpressure rejection, counters, and the single-trace-tree
-  invariant checked by ``tools/trace_tree.py``.
+  byte-identical parity against direct in-process engine calls on
+  every engine and op, backpressure rejection, over-long lines,
+  disconnects and shutdown with requests in flight, counters, and the
+  single-trace-tree invariant checked by ``tools/trace_tree.py``.
 """
 
 from __future__ import annotations
 
+import asyncio
+import enum
 import json
 import pathlib
 import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 import repro.obs as obs
-from repro.accel import batch_self_route
+from repro.accel import (
+    batch_in_class_f,
+    batch_route_partial,
+    batch_self_route,
+    have_numpy,
+)
 from repro.accel._np import resolve_engine
 from repro.accel.setup import batch_setup_states
 from repro.core import BenesNetwork, Permutation, random_permutation
@@ -39,6 +48,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.serve.coalescer import FLUSH, QUEUED, REJECT
+from repro.serve.daemon import RoutingDaemon
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -101,10 +111,34 @@ class TestProtocol:
         json.dumps({"op": "route", "tags": [0, 1], "v": 99}),
         json.dumps({"op": "route", "tags": [0, 1],
                     "stuck": [[1, 2]]}),                # not a triple
+        json.dumps({"op": "route", "tags": [True, False]}),  # bool tags
+        json.dumps({"op": "route", "tags": [0.0, 1.0]}),     # float tags
+        json.dumps({"op": "route", "tags": [0, 1],
+                    "stuck": [[1, 0, True]]}),          # bool in triple
     ])
     def test_malformed_requests_raise(self, line):
         with pytest.raises(ProtocolError):
             protocol.decode_request(line)
+
+    def test_int_vector_validation(self):
+        # The fast exact-type scan must neither pass bool (an int
+        # subclass) nor refuse other int subclasses, and a failing
+        # check keeps its message.
+        class Tag(enum.IntEnum):
+            ONE = 1
+
+        request = protocol.RouteRequest(op="route", tags=[Tag.ONE, 0])
+        assert request.tags == (1, 0)
+        for bad in ([True, 0], [1.0, 0], [0, None], ["0", 1]):
+            with pytest.raises(ProtocolError,
+                               match="^tags must contain only integers$"):
+                protocol.RouteRequest(op="route", tags=bad)
+        for bad in ([], (), "01", None):
+            with pytest.raises(ProtocolError, match="non-empty list"):
+                protocol.RouteRequest(op="route", tags=bad)
+        with pytest.raises(ProtocolError,
+                           match="^mapping must contain only integers$"):
+            protocol.RouteResponse(op="route", id=0, mapping=[0, False])
 
     def test_response_roundtrip_omits_none_fields(self):
         response = protocol.RouteResponse(
@@ -278,19 +312,34 @@ class TestDaemon:
                 assert response.success == ok
                 assert response.mapping == dst
 
-    def test_coalesced_responses_byte_identical_to_direct(self, rng):
+    @pytest.mark.parametrize("op", ["route", "membership", "packet",
+                                    "setup"])
+    @pytest.mark.parametrize("engine", [
+        None, "scalar", "bitslice",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not have_numpy(), reason="needs NumPy")),
+    ], ids=["auto", "scalar", "bitslice", "numpy"])
+    def test_coalesced_responses_byte_identical_to_direct(self, rng,
+                                                          engine, op):
         """The tentpole parity claim: what the daemon sends over the
-        wire for a coalesced batch is byte-for-byte what
-        ``from_batch_result`` yields on a direct engine call."""
+        wire for a coalesced batch is byte-for-byte what the op's
+        ``from_*`` builder yields on a direct call to the same engine
+        (the NumPy engine takes the builders' array branch, the others
+        their pure-Python branch)."""
         order, batch = 3, 6
         rows = [random_permutation(8, rng).as_tuple()
                 for _ in range(batch)]
+        if op == "packet":
+            # idle lanes -1, k = 0..5 active calls per row
+            rows = [tuple(dst if src < index else -1
+                          for src, dst in enumerate(row))
+                    for index, row in enumerate(rows)]
         requests = [
-            protocol.RouteRequest(op="route", tags=row, id=index + 1,
-                                  stage_states=True)
+            protocol.RouteRequest(op=op, tags=row, id=index + 1,
+                                  stage_states=op == "route")
             for index, row in enumerate(rows)
         ]
-        with _daemon(max_batch=batch) as handle:
+        with _daemon(max_batch=batch, engine=engine) as handle:
             host, port = handle.address
             with socket.create_connection((host, port),
                                           timeout=30.0) as sock:
@@ -300,17 +349,27 @@ class TestDaemon:
                 sock.sendall(payload.encode("utf-8"))
                 reader = sock.makefile("rb")
                 wire_lines = [reader.readline() for _ in requests]
-        engine = resolve_engine(None, order=order, batch_size=batch,
-                                kind="route")
-        direct = batch_self_route(rows, stage_states=True,
-                                  engine=engine)
+        engine = resolve_engine(engine, order=order, batch_size=batch,
+                                kind="setup" if op == "setup" else "route")
+        if op == "route":
+            direct = batch_self_route(rows, stage_states=True,
+                                      engine=engine)
+            build = protocol.from_batch_result
+        elif op == "membership":
+            direct = batch_in_class_f(rows, engine=engine)
+            build = protocol.from_membership_mask
+        elif op == "packet":
+            direct = batch_route_partial(rows, engine=engine)
+            build = protocol.from_partial_result
+        else:
+            direct = batch_setup_states(order, rows, engine=engine)
+            build = protocol.from_setup_states
         by_id = {}
         for line in wire_lines:
             by_id[protocol.decode_response(line).id] = line
         for index, request in enumerate(requests):
             expected = (protocol.encode_response(
-                protocol.from_batch_result(request, direct, index,
-                                           engine)) + "\n") \
+                build(request, direct, index, engine)) + "\n") \
                 .encode("utf-8")
             assert by_id[request.id] == expected
 
@@ -427,6 +486,68 @@ class TestDaemon:
         assert ok_response.status == "ok"
         assert ok_response.id == 5
 
+    @pytest.mark.parametrize("split", [False, True],
+                             ids=["whole", "split"])
+    def test_oversized_line_answered_not_fatal(self, split):
+        """A line over asyncio's 64 KiB stream limit is answered with
+        one error and skipped through its newline; the connection keeps
+        serving.  ``split`` sends the line in two 70 KB pieces, so the
+        daemon hits the limit before the newline has arrived."""
+        obs.enable()
+        head = b'{"op":"route","tags":[' + b"0," * 35_000
+        tail = b"0," * 35_000 + b"1]}\n"
+        request = protocol.RouteRequest(op="route", tags=(1, 0), id=5)
+        valid = (protocol.encode_request(request) + "\n").encode("utf-8")
+        with _daemon() as handle:
+            host, port = handle.address
+            with socket.create_connection((host, port),
+                                          timeout=30.0) as sock:
+                reader = sock.makefile("rb")
+                if split:
+                    sock.sendall(head)
+                    time.sleep(0.2)
+                    sock.sendall(tail + valid)
+                else:
+                    sock.sendall(head + tail + valid)
+                error = protocol.decode_response(reader.readline())
+                ok_response = protocol.decode_response(reader.readline())
+        assert error.status == "error"
+        assert error.id == -1
+        assert "65536-byte limit" in error.error
+        assert ok_response.status == "ok"
+        assert ok_response.id == 5
+        assert obs.snapshot()["counters"]["serve.errors"] == 1
+
+    def test_client_disconnect_with_requests_in_flight(self):
+        # A client that sends and hangs up without reading must not
+        # strand the batch its requests joined, nor the connection
+        # count, nor shutdown.
+        obs.enable()
+        rows = [(3, 1, 2, 0), (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                (0, 2, 1, 3)]
+        payload = "".join(
+            protocol.encode_request(protocol.RouteRequest(
+                op="route", tags=row, id=index)) + "\n"
+            for index, row in enumerate(rows))
+        handle = _daemon(max_batch=64, max_wait_us=200_000.0)
+        try:
+            host, port = handle.address
+            with socket.create_connection((host, port),
+                                          timeout=30.0) as sock:
+                sock.sendall(payload.encode("utf-8"))
+            with ServeClient(host, port) as client:
+                response = client.route((3, 2, 1, 0))
+        finally:
+            started = time.monotonic()
+            handle.stop()
+            stop_seconds = time.monotonic() - started
+        assert response.status == "ok"
+        assert response.mapping == fast_self_route((3, 2, 1, 0))[1]
+        assert stop_seconds < 10.0
+        counters = obs.snapshot()["counters"]
+        assert counters["serve.connections.opened"] == 2
+        assert counters["serve.connections.closed"] == 2
+
     def test_serve_counters(self, rng):
         obs.enable()
         rows = [random_permutation(8, rng).as_tuple()
@@ -467,10 +588,6 @@ class TestDaemonLifecycle:
     def test_stop_counts_unclosable_writers(self):
         # regression: a transport raising from close() during shutdown
         # was swallowed silently; it must bump serve.errors instead
-        import asyncio
-
-        from repro.serve.daemon import RoutingDaemon
-
         class _StubbornWriter:
             def close(self):
                 raise RuntimeError("transport refuses to close")
@@ -486,6 +603,46 @@ class TestDaemonLifecycle:
 
         asyncio.run(scenario())
         assert obs.snapshot()["counters"]["serve.errors"] == 1
+
+    def test_stop_answers_queued_requests(self):
+        # Requests still waiting in the coalescer at shutdown are
+        # flushed through the engine and answered before the
+        # connection closes - well inside their 10 s latency window.
+        rows = [(3, 1, 2, 0), (0, 1, 2, 3), (1, 0, 3, 2)]
+        requests = [protocol.RouteRequest(op="route", tags=row,
+                                          id=index + 1)
+                    for index, row in enumerate(rows)]
+
+        async def scenario():
+            daemon = RoutingDaemon(ServeConfig(
+                port=0, max_batch=64, max_wait_us=10_000_000.0,
+                warm_orders=(2,)))
+            await daemon.start()
+            reader, writer = await asyncio.open_connection(
+                *daemon.address)
+            writer.write("".join(protocol.encode_request(request) + "\n"
+                                 for request in requests).encode("utf-8"))
+            await writer.drain()
+            while daemon._coalescer.pending < len(requests):
+                await asyncio.sleep(0.01)
+            started = time.monotonic()
+            await daemon.stop()
+            stop_seconds = time.monotonic() - started
+            lines = [await reader.readline() for _ in requests]
+            rest = await reader.read()
+            writer.close()
+            return stop_seconds, lines, rest
+
+        stop_seconds, lines, rest = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=30.0))
+        assert stop_seconds < 5.0
+        responses = [protocol.decode_response(line) for line in lines]
+        assert sorted(response.id for response in responses) == [1, 2, 3]
+        assert all(response.status == "ok" for response in responses)
+        for response in responses:
+            assert response.mapping == fast_self_route(
+                rows[response.id - 1])[1]
+        assert rest == b""  # then the daemon closed the connection
 
     def test_start_raises_on_bad_engine(self):
         with pytest.raises(Exception):
