@@ -160,9 +160,11 @@ def _swap_stage(rows, cond):
 
 
 def _route_array(np, rows, order, stage_cross=None, omega_mode=False,
-                 stuck=None, stage_states=None):
-    """Push an ``(N, B)`` value block through all stages in place
-    (modulo link gathers); the self-routing control reads tag bits of
+                 stuck=None, stage_states=None, stages=None):
+    """Push an ``(N, B)`` value block through the switch columns
+    ``stages`` (default: all ``2n - 1``) in place, modulo link gathers:
+    every column but stage 0 is entered through the link from the
+    column before it.  The self-routing control reads tag bits of
     ``rows``, which must occupy the low ``order`` bits of each value.
 
     When ``stage_cross`` is a list, the per-instance crossed-switch
@@ -177,10 +179,11 @@ def _route_array(np, rows, order, stage_cross=None, omega_mode=False,
     """
     plan = stage_plan(order)
     inv_links = plan.np_inv_links()
-    last_stage = plan.n_stages - 1
     omega_stages = order - 1 if omega_mode else 0
     half = rows.shape[0] // 2
-    for stage in range(plan.n_stages):
+    for stage in range(plan.n_stages) if stages is None else stages:
+        if stage:
+            rows = rows[inv_links[stage - 1]]
         stuck_here = stuck.get(stage) if stuck else None
         if stage < omega_stages and stuck_here is None:
             if stage_cross is not None:
@@ -191,7 +194,6 @@ def _route_array(np, rows, order, stage_cross=None, omega_mode=False,
                 stage_states.append(
                     np.zeros((half, rows.shape[1]), dtype=np.int8)
                 )
-            rows = rows[inv_links[stage]]
             continue
         if stage < omega_stages:
             cond = np.zeros((half, rows.shape[1]), dtype=rows.dtype)
@@ -206,9 +208,38 @@ def _route_array(np, rows, order, stage_cross=None, omega_mode=False,
         if stage_states is not None:
             stage_states.append(cond.astype(np.int8))
         _swap_stage(rows, cond)
-        if stage < last_stage:
-            rows = rows[inv_links[stage]]
     return rows
+
+
+def _state_transit(np, states, order: int, stages, rows=None):
+    """Push an ``(N, B)`` block (identity rows when ``rows`` is None)
+    through the switch columns ``stages`` of a ``(B, 2n-1, N/2)``
+    external state batch, entering each column like
+    :func:`_route_array` does."""
+    plan = stage_plan(order)
+    inv_links = plan.np_inv_links()
+    if rows is None:
+        dtype = np.int32 if order <= 31 else np.int64
+        rows = np.repeat(np.arange(plan.n_terminals, dtype=dtype)[:, None],
+                         states.shape[0], axis=1)
+    for stage in stages:
+        if stage:
+            rows = rows[inv_links[stage - 1]]
+        _swap_stage(rows, (states[:, stage, :].T != 0).astype(rows.dtype))
+    return rows
+
+
+def _inverse(np, perms):
+    """Row-wise inverse of a ``(B, N)`` permutation array, as int64:
+    ``out[b, perms[b, i]] = i``."""
+    out = np.empty(perms.shape, dtype=np.int64)
+    np.put_along_axis(
+        out, perms,
+        np.broadcast_to(np.arange(perms.shape[1], dtype=np.int64),
+                        perms.shape),
+        axis=1,
+    )
+    return out
 
 
 def _realized(np, states, order: int, n_columns: int):
@@ -217,25 +248,9 @@ def _realized(np, states, order: int, n_columns: int):
     ``dest`` with ``dest[b, source]`` = the row holding ``source``'s
     signal — the realized mapping when ``n_columns == 2n - 1``, the
     two-pass half-way map when ``n_columns == n``."""
-    plan = stage_plan(order)
-    n = plan.n_terminals
-    batch = states.shape[0]
-    inv_links = plan.np_inv_links()
-    dtype = np.int32 if order <= 31 else np.int64
-    rows = np.repeat(np.arange(n, dtype=dtype)[:, None], batch, axis=1)
-    for stage in range(n_columns):
-        _swap_stage(rows, (states[:, stage, :].T != 0).astype(dtype))
-        if stage < n_columns - 1:
-            rows = rows[inv_links[stage]]
     # rows[row, b] = source occupying that row -> dest[b, source] = row
-    sources = rows.T.astype(np.int64)
-    dest = np.empty_like(sources)
-    np.put_along_axis(
-        dest, sources,
-        np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)),
-        axis=1,
-    )
-    return dest
+    return _inverse(np, _state_transit(np, states, order,
+                                       range(n_columns)).T)
 
 
 # ----------------------------------------------------------------------
@@ -287,10 +302,9 @@ def numpy_in_class_f(perms_batch):
     return (rows == np.arange(n, dtype=rows.dtype)[:, None]).all(axis=0)
 
 
-def numpy_route_with_states(states_batch, *, order: int,
-                            stage_data=False) -> BatchRouteResult:
-    """Realized permutations under a ``(B, 2n-1, N/2)`` state batch."""
-    np = numpy_or_none()
+def _as_state_array(np, states_batch, order: int):
+    """Validate a batch of switch states as a ``(B, 2n-1, N/2)`` int64
+    array."""
     plan = stage_plan(order)
     states = np.asarray(states_batch, dtype=np.int64)
     expected = (plan.n_stages, plan.n_terminals // 2)
@@ -299,9 +313,17 @@ def numpy_route_with_states(states_batch, *, order: int,
             f"expected a (B, {expected[0]}, {expected[1]}) batch of "
             f"switch states for order {order}, got shape {states.shape}"
         )
+    return states
+
+
+def numpy_route_with_states(states_batch, *, order: int,
+                            stage_data=False) -> BatchRouteResult:
+    """Realized permutations under a ``(B, 2n-1, N/2)`` state batch."""
+    np = numpy_or_none()
+    states = _as_state_array(np, states_batch, order)
     return BatchRouteResult(
         success_mask=np.ones(states.shape[0], dtype=bool),
-        mappings=_realized(np, states, order, plan.n_stages),
+        mappings=_realized(np, states, order, 2 * order - 1),
         per_stage=((states != 0).sum(axis=2).T if stage_data else None),
     )
 

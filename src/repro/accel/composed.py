@@ -29,6 +29,13 @@ state tensor at once:
   peak memory stays ``O(N / blocks * log N)`` per chunk plus ``O(N)``
   transit arrays — never the full tensor.
 
+One setup stream serves both setup entry points on both platforms:
+the peel, then :func:`repro.accel.batch_setup_states` in chunks over
+the flat ``B * 2^levels`` block axis, as :class:`StateChunk` items.
+:func:`iter_composed_states` forwards them and
+:func:`composed_setup_states` assembles them, so the chunk accounting
+(:func:`composed_stats`) is the same with and without NumPy.
+
 Self-routing composes the same way (pinned byte-identical to
 :func:`repro.core.fastpath.fast_self_route_states` by
 ``tests/test_composed.py``): transit the entry columns with the global
@@ -38,12 +45,22 @@ exactly the local forced stages), reconstruct each block's rows from
 its delivered mapping, then transit the exit columns.  Stuck-switch
 faults split by column: entry/exit faults apply during transit, middle
 faults map to per-block local coordinates and route their blocks as
-separate fault groups.
+separate fault groups.  With NumPy the transits are the batch engine's
+own stage loops (``_route_array``, ``_state_transit`` and ``_inverse``
+of :mod:`repro.accel.batch`) run over the entry and exit columns only.
 
-Every entry point works without NumPy (pure-Python peel over
-:func:`repro.core.waksman.looping_assignment`, per-block dispatch to
-the scalar or bit-sliced engines) — identical values, element for
-element.  The engine is the ``"composed"`` row of
+Every entry point works without NumPy — identical values, element for
+element.  ``peel_level_stream(None, ...)`` runs the serial looping
+assignment on every sub-problem of a level, and the blocks go to the
+scalar or bit-sliced engines.  Self-routing and external-state routing
+keep a pure-Python transit of their own, row by row, around the same
+chunked block dispatch.  Routing whole rows on the inner engine
+instead, measured with NumPy blocked at order 14, ranged from 1.3x
+faster to 1.6x slower at B = 2–4 and was 1.4–4.6x faster at B >= 16
+(DESIGN.md, "Scaling").  Neither wins everywhere, and no benchmark
+workload runs without NumPy, so the loops stay.
+
+The engine is the ``"composed"`` row of
 :data:`repro.accel.kernels.KERNELS` and is auto-picked by
 :func:`repro.accel.resolve_engine` above the
 ``BENES_COMPOSED_ORDER`` threshold (default 14).
@@ -77,14 +94,18 @@ from ..core.routing import BatchRouteResult
 from ..core.switch import validate_stuck_switches
 from ..errors import InvalidParameterError, SizeMismatchError
 from ..obs.spans import spanned as _spanned
+from . import setup as _setup
 from ._np import auto_engine, env_int, numpy_or_none
 from .batch import (
+    _as_state_array,
     _as_tag_array,
     _batch_dims,
+    _inverse,
     _order_hint,
     _reject_scalar_options,
+    _route_array,
+    _state_transit,
     _stuck_plan,
-    _swap_stage,
     _working_block,
     batch_route_with_states,
     batch_self_route,
@@ -261,27 +282,21 @@ def _split_stuck(plan: ComposedPlan, stuck_switches):
     return (outer or None), (blocks or None)
 
 
-def _block_groups(np, batch: int, n_blocks: int, stuck_blocks, chunk):
-    """Yield ``(block_row_indices, local_stuck_map)`` dispatch groups
-    over the flat ``batch * n_blocks`` block-row axis: fault-free
-    blocks in contiguous chunks, each faulted block as its own group
-    (its local map applies to that block across every instance)."""
-    total = batch * n_blocks
-    if not stuck_blocks:
-        for start in range(0, total, chunk):
-            yield np.arange(start, min(start + chunk, total),
-                            dtype=np.intp), None
-        return
-    clean = np.array(
-        [i for i in range(total) if i % n_blocks not in stuck_blocks],
-        dtype=np.intp,
-    )
+def _block_groups(batch: int, n_blocks: int, stuck_blocks, chunk):
+    """Yield ``(flat_indices, local_stuck_map)`` dispatch groups over
+    the flat ``batch * n_blocks`` block axis (index ``b * n_blocks + k``
+    is block ``k`` of instance ``b``): fault-free blocks in chunks, each
+    faulted block as its own group (its local map applies to that block
+    across every instance)."""
+    stuck_blocks = stuck_blocks or {}
+    clean = [i for i in range(batch * n_blocks)
+             if i % n_blocks not in stuck_blocks]
     for start in range(0, len(clean), chunk):
         yield clean[start:start + chunk], None
     for k in sorted(stuck_blocks):
-        idx = np.arange(batch, dtype=np.intp) * n_blocks + k
+        column = [b * n_blocks + k for b in range(batch)]
         for start in range(0, batch, chunk):
-            yield idx[start:start + chunk], stuck_blocks[k]
+            yield column[start:start + chunk], stuck_blocks[k]
 
 
 # ----------------------------------------------------------------------
@@ -295,59 +310,45 @@ def _np_self_route(np, plan, arr, *, omega_mode, stage_data,
     n = plan.n_terminals
     levels = plan.levels
     nb = plan.n_blocks
-    m = plan.block_size
     w = plan.block_half
-    half = n // 2
     batch = arr.shape[0]
-    sp = stage_plan(order)
-    inv_links = sp.np_inv_links()
-    outer_plan = _stuck_plan(np, order, stuck_outer) if stuck_outer \
-        else None
-    omega_stages = order - 1 if omega_mode else 0
+    transit = dict(omega_mode=omega_mode,
+                   stuck=_stuck_plan(np, order, stuck_outer))
+    entry_cross, exit_cross = ([], []) if stage_data else (None, None)
+    entry_cols, exit_cols = ([], []) if stage_states else (None, None)
 
     rows = _working_block(np, arr, n_value_bits=2 * order)
     rows |= np.arange(n, dtype=rows.dtype)[:, None] << order
-    entry_cross, exit_cross = [], []
-    entry_cols, exit_cols = [], []
     # Entry transit: every entry stage is < order - 1, so global omega
     # forcing covers all of them (matching the local forcing the middle
     # blocks apply for themselves).
-    for stage in range(levels):
-        stuck_here = outer_plan.get(stage) if outer_plan else None
-        if stage < omega_stages:
-            cond = np.zeros((half, batch), dtype=rows.dtype)
-        else:
-            cond = (rows[0::2, :] >> sp.ctrl_bits[stage]) & 1
-        if stuck_here is not None:
-            indices, vals = stuck_here
-            cond[indices, :] = vals.astype(rows.dtype)[:, None]
-        if stage_data:
-            entry_cross.append(cond.sum(axis=0, dtype=np.int64))
-        if stage_states:
-            entry_cols.append(cond.astype(np.int8))
-        _swap_stage(rows, cond)
-        rows = rows[inv_links[stage]]
+    rows = _route_array(np, rows, order, stage_cross=entry_cross,
+                        stage_states=entry_cols, stages=range(levels),
+                        **transit)
+    # the link into the middle blocks (the exit transit crosses the
+    # link out of them itself)
+    rows = rows[stage_plan(order).np_inv_links()[levels - 1]]
 
     # Middle blocks: local tags are global tags >> levels; each block
     # is one row of a (B * n_blocks, 2^r) batch routed by the inner
     # engine in bounded chunks.
-    blocks_vals = np.ascontiguousarray(rows.T).reshape(batch * nb, m)
+    blocks_vals = np.ascontiguousarray(rows.T).reshape(batch * nb,
+                                                       plan.block_size)
     local_tags = (blocks_vals & (n - 1)) >> levels
     mid_states = (np.empty((batch * nb, plan.mid_stages, w),
                            dtype=np.int8) if stage_states else None)
     mid_cross = (np.zeros((batch, plan.mid_stages), dtype=np.int64)
                  if stage_data else None)
-    for sel, local_stuck in _block_groups(np, batch, nb, stuck_blocks,
-                                          chunk):
-        if not len(sel):
-            continue
+    for flat, local_stuck in _block_groups(batch, nb, stuck_blocks,
+                                           chunk):
+        sel = np.asarray(flat, dtype=np.intp)
         chunk_tags = local_tags[sel]
         sub = batch_self_route(
             chunk_tags, omega_mode=omega_mode, stage_data=stage_data,
             stage_states=stage_states, stuck_switches=local_stuck,
             engine=inner, parallel=parallel,
         )
-        _note_chunk(int(len(sel)), int(chunk_tags.nbytes))
+        _note_chunk(len(sel), int(chunk_tags.nbytes))
         mapp = np.asarray(sub.mappings)
         blocks_vals[sel] = np.take_along_axis(blocks_vals[sel], mapp,
                                               axis=1)
@@ -359,20 +360,13 @@ def _np_self_route(np, plan, arr, *, omega_mode, stage_data,
                       np.asarray(sub.per_stage, dtype=np.int64).T)
     rows = np.ascontiguousarray(blocks_vals.reshape(batch, n).T)
 
-    # Exit transit: the link INTO stage s is links[s - 1]; no omega
-    # forcing ever applies here (every exit stage is >= order).
-    for stage in range(plan.n_stages - levels, plan.n_stages):
-        rows = rows[inv_links[stage - 1]]
-        stuck_here = outer_plan.get(stage) if outer_plan else None
-        cond = (rows[0::2, :] >> sp.ctrl_bits[stage]) & 1
-        if stuck_here is not None:
-            indices, vals = stuck_here
-            cond[indices, :] = vals.astype(rows.dtype)[:, None]
-        if stage_data:
-            exit_cross.append(cond.sum(axis=0, dtype=np.int64))
-        if stage_states:
-            exit_cols.append(cond.astype(np.int8))
-        _swap_stage(rows, cond)
+    # Exit transit: no omega forcing ever applies here (every exit
+    # stage is >= order).
+    rows = _route_array(np, rows, order, stage_cross=exit_cross,
+                        stage_states=exit_cols,
+                        stages=range(plan.n_stages - levels,
+                                     plan.n_stages),
+                        **transit)
 
     tags = rows & (n - 1)
     success = (tags == np.arange(n, dtype=rows.dtype)[:, None]) \
@@ -381,7 +375,7 @@ def _np_self_route(np, plan, arr, *, omega_mode, stage_data,
     states_out = None
     if stage_states:
         mid_full = mid_states.reshape(batch, nb, plan.mid_stages, w) \
-            .transpose(0, 2, 1, 3).reshape(batch, plan.mid_stages, half)
+            .transpose(0, 2, 1, 3).reshape(batch, plan.mid_stages, n // 2)
         entry_arr = np.transpose(np.array(entry_cols), (2, 0, 1))
         exit_arr = np.transpose(np.array(exit_cols), (2, 0, 1))
         states_out = np.concatenate([entry_arr, mid_full, exit_arr],
@@ -483,40 +477,25 @@ def _scalar_self_route(plan, rows_batch, *, omega_mode, stage_states,
 
     mid_states = [[None] * nb for _ in range(batch)] if stage_states \
         else None
-
-    def flush(items, local_stuck):
-        if not items:
-            return
-        chunk_rows = [
-            [all_tags[b][k * m + j] >> levels for j in range(m)]
-            for (b, k) in items
-        ]
+    for flat, local_stuck in _block_groups(batch, nb, stuck_blocks,
+                                           chunk):
+        items = [divmod(i, nb) for i in flat]
         sub = batch_self_route(
-            chunk_rows, omega_mode=omega_mode,
-            stage_states=stage_states, stuck_switches=local_stuck,
-            engine=inner, parallel=parallel,
+            [[t >> levels for t in all_tags[b][k * m:(k + 1) * m]]
+             for b, k in items],
+            omega_mode=omega_mode, stage_states=stage_states,
+            stuck_switches=local_stuck, engine=inner, parallel=parallel,
         )
         _note_chunk(len(items), len(items) * m)
         for i, (b, k) in enumerate(items):
-            mapping = sub.mappings[i]
             base = k * m
             tags_b, srcs_b = all_tags[b], all_srcs[b]
-            new_t = [tags_b[base + mapping[o]] for o in range(m)]
-            new_s = [srcs_b[base + mapping[o]] for o in range(m)]
-            tags_b[base:base + m] = new_t
-            srcs_b[base:base + m] = new_s
+            tags_b[base:base + m] = [tags_b[base + o]
+                                     for o in sub.mappings[i]]
+            srcs_b[base:base + m] = [srcs_b[base + o]
+                                     for o in sub.mappings[i]]
             if stage_states:
                 mid_states[b][k] = sub.stage_states[i]
-
-    clean = [(b, k) for b in range(batch) for k in range(nb)
-             if not (stuck_blocks and k in stuck_blocks)]
-    for start in range(0, len(clean), chunk):
-        flush(clean[start:start + chunk], None)
-    if stuck_blocks:
-        for k in sorted(stuck_blocks):
-            items = [(b, k) for b in range(batch)]
-            for start in range(0, len(items), chunk):
-                flush(items[start:start + chunk], stuck_blocks[k])
 
     success, mappings = [], []
     states_out = [] if stage_states else None
@@ -597,7 +576,8 @@ def composed_self_route(tags_batch, *, omega_mode=False,
         return batch_self_route(
             tags_batch, omega_mode=omega_mode, stage_data=stage_data,
             stage_states=stage_states, stuck_switches=stuck_switches,
-            parallel=parallel, engine=_inner_engine(order, b_hint),
+            parallel=parallel,
+            engine=engine or _inner_engine(order, b_hint),
         )
     plan = composed_plan(order, sub_order)
     inner = engine or _inner_engine(plan.sub_order, b_hint)
@@ -643,26 +623,19 @@ def composed_in_class_f(perms_batch, *, parallel=False, engine=None,
 def _np_route_with_states(np, plan, states, *, stage_data, inner,
                           chunk, parallel):
     order = plan.order
-    n = plan.n_terminals
     levels = plan.levels
     nb = plan.n_blocks
-    m = plan.block_size
     w = plan.block_half
     batch = states.shape[0]
-    sp = stage_plan(order)
-    inv_links = sp.np_inv_links()
-    dtype = np.int32 if order <= 31 else np.int64
-    rows = np.repeat(np.arange(n, dtype=dtype)[:, None], batch, axis=1)
-    for stage in range(levels):
-        cond = (states[:, stage, :].T != 0).astype(dtype)
-        _swap_stage(rows, cond)
-        rows = rows[inv_links[stage]]
-    blocks_vals = np.ascontiguousarray(rows.T).reshape(batch * nb, m)
+    rows = _state_transit(np, states, order, range(levels))
+    # the link into the middle blocks, as in _np_self_route
+    rows = rows[stage_plan(order).np_inv_links()[levels - 1]]
+    blocks_vals = np.ascontiguousarray(rows.T).reshape(batch * nb,
+                                                       plan.block_size)
     local_states = np.ascontiguousarray(
         states[:, levels:plan.n_stages - levels, :]
         .reshape(batch, plan.mid_stages, nb, w).transpose(0, 2, 1, 3)
     ).reshape(batch * nb, plan.mid_stages, w)
-    out_idx = np.arange(m)
     for start in range(0, batch * nb, chunk):
         stop = min(start + chunk, batch * nb)
         chunk_states = local_states[start:stop]
@@ -671,28 +644,18 @@ def _np_route_with_states(np, plan, states, *, stage_data, inner,
         _note_chunk(stop - start, int(chunk_states.nbytes))
         # sub.mappings[j][input] = output; reconstruction needs the
         # inverse view delivered[output] = input.
-        mapp = np.asarray(sub.mappings)
-        delivered = np.empty_like(mapp)
-        np.put_along_axis(delivered, mapp,
-                          np.broadcast_to(out_idx, mapp.shape), axis=1)
+        delivered = _inverse(np, np.asarray(sub.mappings))
         blocks_vals[start:stop] = np.take_along_axis(
             blocks_vals[start:stop], delivered, axis=1
         )
-    rows = np.ascontiguousarray(blocks_vals.reshape(batch, n).T)
-    for stage in range(plan.n_stages - levels, plan.n_stages):
-        rows = rows[inv_links[stage - 1]]
-        cond = (states[:, stage, :].T != 0).astype(rows.dtype)
-        _swap_stage(rows, cond)
-    rows = rows.T.astype(np.int64)
-    dest = np.empty_like(rows)
-    np.put_along_axis(
-        dest, rows,
-        np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n)),
-        axis=1,
-    )
+    rows = np.ascontiguousarray(
+        blocks_vals.reshape(batch, plan.n_terminals).T)
+    rows = _state_transit(np, states, order,
+                          range(plan.n_stages - levels, plan.n_stages),
+                          rows)
     return BatchRouteResult(
         success_mask=np.ones(batch, dtype=bool),
-        mappings=dest,
+        mappings=_inverse(np, rows.T),
         per_stage=((states != 0).sum(axis=2).T if stage_data else None),
     )
 
@@ -771,23 +734,17 @@ def composed_route_with_states(states_batch, order: int, *,
     if order < 2:
         return batch_route_with_states(
             states_batch, order, stage_data=stage_data,
-            parallel=parallel, engine=_inner_engine(order, b_hint),
+            parallel=parallel,
+            engine=engine or _inner_engine(order, b_hint),
         )
     plan = composed_plan(order, sub_order)
     inner = engine or _inner_engine(plan.sub_order, b_hint)
     chunk = _resolve_chunk(chunk_blocks)
     if np is not None:
-        states = np.asarray(states_batch, dtype=np.int64)
-        expected = (plan.n_stages, plan.n_terminals // 2)
-        if states.ndim != 3 or states.shape[1:] != expected:
-            raise SizeMismatchError(
-                f"expected a (B, {expected[0]}, {expected[1]}) batch "
-                f"of switch states for order {order}, got shape "
-                f"{states.shape}"
-            )
         result = _np_route_with_states(
-            np, plan, states, stage_data=stage_data, inner=inner,
-            chunk=chunk, parallel=parallel,
+            np, plan, _as_state_array(np, states_batch, order),
+            stage_data=stage_data, inner=inner, chunk=chunk,
+            parallel=parallel,
         )
     else:
         rows = states_batch if isinstance(states_batch, list) \
@@ -805,40 +762,61 @@ def composed_route_with_states(states_batch, order: int, *,
 # Universal setup: assembled and streaming forms
 # ----------------------------------------------------------------------
 
-def _as_row(perm):
-    as_tuple = getattr(perm, "as_tuple", None)
-    return list(as_tuple()) if callable(as_tuple) else list(perm)
+class StateChunk(NamedTuple):
+    """One streamed piece of a composed universal setup.
+
+    Attributes:
+        kind: ``"column"`` — one finished global switch column from the
+            peel — or ``"blocks"`` — the middle states of a chunk of
+            sub-network blocks.
+        stage: the global switch column index for ``"column"`` chunks
+            (entry columns ``0..levels-1``, exit columns
+            ``2n-2 .. 2n-1-levels`` interleaved), ``-1`` otherwise.
+        block_start: first block covered by a ``"blocks"`` chunk, as
+            an index into the flat ``B * n_blocks`` block axis (for one
+            permutation, the block index itself).
+        states: the ``(N/2,)`` column, or the
+            ``(chunk, 2r-1, 2^(r-1))`` per-block state tensor.
+        perms: the ``(chunk, 2^r)`` local sub-permutations of a
+            ``"blocks"`` chunk (``None`` for columns) — what a sampled
+            parity check feeds the scalar oracle.
+    """
+
+    kind: str
+    stage: int
+    block_start: int
+    states: object
+    perms: object = None
 
 
-def _scalar_peel_stream(row, levels: int):
-    """Pure-Python twin of
-    :func:`repro.accel.setup.peel_level_stream` for one permutation:
-    breadth-first truncation of the serial Waksman recursion
-    (:func:`repro.core.waksman.looping_assignment` per sub-problem),
-    yielding single-instance columns/sub-permutation lists."""
-    from ..core.waksman import looping_assignment
+def _setup_stream(np, plan, rows, *, inner, chunk, parallel=False):
+    """The composed universal setup of the validated batch ``rows``
+    (:func:`repro.accel.setup._as_perm_array`), as :class:`StateChunk`
+    items: a ``"column"`` item per finished peel column, holding it for
+    every instance (``B`` rows of ``N/2``), then ``"blocks"`` items of
+    at most ``chunk`` blocks over the flat ``B * n_blocks`` axis —
+    ``block_start`` is a flat index, block ``i`` being block
+    ``i % n_blocks`` of instance ``i // n_blocks``.
 
-    subs = [list(row)]
-    for level in range(levels):
-        first_col, last_col, nxt = [], [], []
-        for tags in subs:
-            half = len(tags) // 2
-            side = looping_assignment(tags)
-            first_col.extend(side[2 * i] for i in range(half))
-            inverse = [0] * len(tags)
-            for t, d in enumerate(tags):
-                inverse[d] = t
-            last_col.extend(side[inverse[2 * j]] for j in range(half))
-            upper = [0] * half
-            lower = [0] * half
-            for t, d in enumerate(tags):
-                (upper if side[t] == 0 else lower)[t >> 1] = d >> 1
-            nxt.append(upper)
-            nxt.append(lower)
-        yield ("entry", level, first_col)
-        yield ("exit", level, last_col)
-        subs = nxt
-    yield ("subs", -1, subs)
+    Both setup entry points consume this one stream.  The peel and the
+    block setup are looked up on :mod:`repro.accel.setup` per call, so
+    wrapping them there (``bench/layers.py``) times this path."""
+    subs = None
+    for kind, level, payload in _setup.peel_level_stream(
+            np, plan.order, rows, plan.levels):
+        if kind == "subs":
+            subs = payload
+        else:
+            stage = level if kind == "entry" else plan.n_stages - 1 - level
+            yield StateChunk("column", stage, 0, payload)
+    for start in range(0, len(subs), chunk):
+        sel = subs[start:start + chunk]
+        states = _setup.batch_setup_states(plan.sub_order, sel,
+                                           engine=inner, parallel=parallel)
+        if np is not None:
+            states = np.asarray(states, dtype=np.int8)
+        _note_chunk(len(sel), len(sel) * plan.mid_stages * plan.block_half)
+        yield StateChunk("blocks", -1, start, states, sel)
 
 
 @_spanned("composed.setup")
@@ -858,113 +836,34 @@ def composed_setup_states(order: int, perms, *, parallel=False,
     enabled = _obs.enabled()
     t0 = _perf_counter() if enabled else 0.0
     if order < 2:
-        from .setup import batch_setup_states
-
-        return batch_setup_states(
+        return _setup.batch_setup_states(
             order, perms, parallel=parallel,
-            engine=_inner_engine(order, None, kind="setup"),
+            engine=engine or _inner_engine(order, None, kind="setup"),
         )
     plan = composed_plan(order, sub_order)
     inner = engine or _inner_engine(plan.sub_order, None, kind="setup")
     chunk = _resolve_chunk(chunk_blocks)
-    levels = plan.levels
-    w = plan.block_half
-    from .setup import _as_perm_array, batch_setup_states, \
-        peel_level_stream
-
+    rows = _setup._as_perm_array(np, order, perms)
+    half, w = plan.n_terminals // 2, plan.block_half
     if np is not None:
-        arr = _as_perm_array(np, order, perms)
-        batch = arr.shape[0]
-        states = np.empty((batch, plan.n_stages,
-                           plan.n_terminals // 2), dtype=np.int8)
-        subs = None
-        for kind, level, payload in peel_level_stream(np, order, arr,
-                                                      levels):
-            if kind == "entry":
-                states[:, level, :] = payload
-            elif kind == "exit":
-                states[:, 2 * order - 2 - level, :] = payload
-            else:
-                subs = payload
-        mid = states[:, levels:plan.n_stages - levels, :]
-        total = batch * plan.n_blocks
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            st = np.asarray(
-                batch_setup_states(plan.sub_order, subs[start:stop],
-                                   engine=inner, parallel=parallel),
-                dtype=np.int8,
-            )
-            _note_chunk(stop - start, int(st.nbytes))
-            for i in range(start, stop):
-                b, k = divmod(i, plan.n_blocks)
-                mid[b, :, k * w:(k + 1) * w] = st[i - start]
-        result = states
+        states = np.empty((len(rows), plan.n_stages, half), dtype=np.int8)
     else:
-        from ..core.permutation import Permutation
-
-        out = []
-        for row in (perms if isinstance(perms, list) else list(perms)):
-            row = _as_row(Permutation(_as_row(row)))  # validates
-            if len(row) != plan.n_terminals:
-                raise SizeMismatchError(
-                    f"expected permutations of {plan.n_terminals} "
-                    f"elements for order {order}, got {len(row)}"
-                )
-            cols = [None] * plan.n_stages
-            subs = None
-            for kind, level, payload in _scalar_peel_stream(row,
-                                                            levels):
-                if kind == "entry":
-                    cols[level] = list(payload)
-                elif kind == "exit":
-                    cols[2 * order - 2 - level] = list(payload)
-                else:
-                    subs = payload
-            for s in range(levels, plan.n_stages - levels):
-                cols[s] = []
-            for start in range(0, len(subs), chunk):
-                chunk_subs = subs[start:start + chunk]
-                sub_states = batch_setup_states(
-                    plan.sub_order, chunk_subs, engine=inner,
-                    parallel=parallel,
-                )
-                _note_chunk(len(chunk_subs),
-                            len(chunk_subs) * plan.mid_stages * w)
-                for st in sub_states:
-                    for s_local in range(plan.mid_stages):
-                        cols[levels + s_local].extend(st[s_local])
-            out.append(cols)
-        result = out
+        states = [[[0] * half for _ in range(plan.n_stages)]
+                  for _ in rows]
+    for piece in _setup_stream(np, plan, rows, inner=inner, chunk=chunk,
+                               parallel=parallel):
+        if piece.kind == "column":
+            for b, column in enumerate(piece.states):
+                states[b][piece.stage] = column
+            continue
+        for i, block in enumerate(piece.states, piece.block_start):
+            b, k = divmod(i, plan.n_blocks)
+            for stage, column in enumerate(block, plan.levels):
+                states[b][stage][k * w:(k + 1) * w] = column
     if enabled:
         _obs.inc("accel.composed.calls")
         _obs.observe("accel.composed.seconds", _perf_counter() - t0)
-    return result
-
-
-class StateChunk(NamedTuple):
-    """One streamed piece of a composed universal setup.
-
-    Attributes:
-        kind: ``"column"`` — one finished global switch column from the
-            peel — or ``"blocks"`` — the middle states of a chunk of
-            sub-network blocks.
-        stage: the global switch column index for ``"column"`` chunks
-            (entry columns ``0..levels-1``, exit columns
-            ``2n-2 .. 2n-1-levels`` interleaved), ``-1`` otherwise.
-        block_start: first block index covered by a ``"blocks"`` chunk.
-        states: the ``(N/2,)`` column, or the
-            ``(chunk, 2r-1, 2^(r-1))`` per-block state tensor.
-        perms: the ``(chunk, 2^r)`` local sub-permutations of a
-            ``"blocks"`` chunk (``None`` for columns) — what a sampled
-            parity check feeds the scalar oracle.
-    """
-
-    kind: str
-    stage: int
-    block_start: int
-    states: object
-    perms: object = None
+    return states
 
 
 def iter_composed_states(order: int, perm, *, engine=None,
@@ -983,53 +882,9 @@ def iter_composed_states(order: int, perm, *, engine=None,
     np = numpy_or_none()
     plan = composed_plan(order, sub_order)
     chunk = _resolve_chunk(chunk_blocks)
-    inner = engine or _inner_engine(plan.sub_order, chunk, kind="setup")
-    levels = plan.levels
-    from .setup import batch_setup_states
-
-    if np is not None:
-        from .setup import _as_perm_array, peel_level_stream
-
-        arr = _as_perm_array(np, order, [_as_row(perm)])
-        subs = None
-        for kind, level, payload in peel_level_stream(np, order, arr,
-                                                      levels):
-            if kind == "entry":
-                yield StateChunk("column", level, 0, payload[0])
-            elif kind == "exit":
-                yield StateChunk("column", 2 * order - 2 - level, 0,
-                                 payload[0])
-            else:
-                subs = payload
-        for start in range(0, plan.n_blocks, chunk):
-            sel = subs[start:start + chunk]
-            st = np.asarray(
-                batch_setup_states(plan.sub_order, sel, engine=inner),
-                dtype=np.int8,
-            )
-            _note_chunk(int(sel.shape[0]), int(st.nbytes))
-            yield StateChunk("blocks", -1, start, st, sel)
-    else:
-        from ..core.permutation import Permutation
-
-        row = _as_row(Permutation(_as_row(perm)))  # validates
-        if len(row) != plan.n_terminals:
-            raise SizeMismatchError(
-                f"expected a permutation of {plan.n_terminals} "
-                f"elements for order {order}, got {len(row)}"
-            )
-        subs = None
-        for kind, level, payload in _scalar_peel_stream(row, levels):
-            if kind == "entry":
-                yield StateChunk("column", level, 0, payload)
-            elif kind == "exit":
-                yield StateChunk("column", 2 * order - 2 - level, 0,
-                                 payload)
-            else:
-                subs = payload
-        for start in range(0, len(subs), chunk):
-            sel = subs[start:start + chunk]
-            st = batch_setup_states(plan.sub_order, sel, engine=inner)
-            _note_chunk(len(sel),
-                        len(sel) * plan.mid_stages * plan.block_half)
-            yield StateChunk("blocks", -1, start, st, sel)
+    inner = engine or _inner_engine(plan.sub_order, None, kind="setup")
+    rows = _setup._as_perm_array(np, order, [perm])
+    for piece in _setup_stream(np, plan, rows, inner=inner, chunk=chunk):
+        if piece.kind == "column":
+            piece = piece._replace(states=piece.states[0])
+        yield piece

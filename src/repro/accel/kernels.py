@@ -30,7 +30,8 @@ op                        options
 ========================  =============================================
 
 The ``composed`` kernels also take ``parallel``: they shard their
-inner block batches themselves.  :func:`repro.accel.batch.dispatch` is
+inner block batches themselves (``two_pass``, which has no block form,
+its whole batch on the inner engine).  :func:`repro.accel.batch.dispatch` is
 the one caller — it resolves the engine, shards through the executor
 and records the ``accel.*`` metrics around the kernel call.
 """
@@ -113,10 +114,12 @@ def scalar_two_pass(perms, *, order: int):
 
 def _composed_two_pass(perms, *, order: int, parallel=False):
     """The two-pass factorization reads the *global* first-half map —
-    it does not block-decompose — so the composed row runs it on the
-    inner engine; the factors are identical either way."""
+    it does not block-decompose — so the composed row runs it whole on
+    the inner engine, sharded like any batch; the factors are identical
+    either way."""
     inner = auto_engine(order, len(perms), "setup", composed=False)
-    return KERNELS[inner]["two_pass"](perms, order=order)
+    return setup.batch_two_pass(order, perms, engine=inner,
+                                parallel=parallel)
 
 
 KERNELS = {

@@ -129,9 +129,19 @@ def setup_plan(order: int) -> SetupPlan:
 def _as_perm_array(np, order: int, perms):
     """Validate a ``(B, N)`` batch where every row must be a genuine
     permutation (the looping algorithm's cycles are only consistent on
-    permutations — duplicates would walk forever)."""
-    arr = _as_tag_array(np, perms)
+    permutations — duplicates would walk forever); a list of int lists
+    when ``np`` is None."""
     n = 1 << order
+    if np is None:
+        rows = [list(Permutation(row)) for row in perms]
+        for row in rows:
+            if len(row) != n:
+                raise SizeMismatchError(
+                    f"expected permutations of {n} elements for order "
+                    f"{order}, got {len(row)}"
+                )
+        return rows
+    arr = _as_tag_array(np, perms)
     if arr.shape[1] != n:
         raise SizeMismatchError(
             f"expected (B, {n}) permutations for order {order}, got "
@@ -214,6 +224,38 @@ def _peel(np, order: int, arr, levels: int):
     yield ("subs", -1, tags.reshape(batch << levels, n >> levels))
 
 
+def _scalar_peel(order: int, rows, levels: int):
+    """Pure-Python :func:`_peel`: the serial looping assignment
+    (:func:`repro.core.waksman.looping_assignment`) on every
+    sub-problem of a level, stacked in the same recursion order, with
+    the columns as per-instance lists."""
+    from ..core.waksman import looping_assignment
+
+    half = 1 << (order - 1)
+    subs = rows
+    for level in range(levels):
+        first, last, nxt = [], [], []
+        for tags in subs:
+            side = looping_assignment(tags)
+            inverse = [0] * len(tags)
+            for t, d in enumerate(tags):
+                inverse[d] = t
+            first.extend(side[0::2])
+            last.extend(side[t] for t in inverse[0::2])
+            upper = [0] * (len(tags) // 2)
+            lower = [0] * (len(tags) // 2)
+            for t, d in enumerate(tags):
+                (upper if side[t] == 0 else lower)[t >> 1] = d >> 1
+            nxt.append(upper)
+            nxt.append(lower)
+        yield ("entry", level, [first[i:i + half]
+                                for i in range(0, len(first), half)])
+        yield ("exit", level, [last[i:i + half]
+                               for i in range(0, len(last), half)])
+        subs = nxt
+    yield ("subs", -1, subs)
+
+
 def _setup_levels(np, order: int, arr):
     """The ``(B, 2n-1, N/2)`` int8 states of the validated ``(B, N)``
     permutation array ``arr``: the peel run ``order - 1`` levels deep
@@ -253,12 +295,21 @@ def peel_level_stream(np, order: int, arr, levels: int):
     Peak working memory is ``O(B * N)`` machine words — never the
     ``O(B * N * order)`` full state tensor, which is the point: the
     composed engine forwards the columns/blocks downstream as chunks.
+
+    With ``np`` None, ``arr`` is a list of validated int lists
+    (:func:`_as_perm_array`) and the same items come out as lists: the
+    columns as ``B`` lists of ``N/2`` ints, ``subs`` as
+    ``B << levels`` lists, from the serial looping assignment run on
+    every sub-problem of a level.
     """
     if not 1 <= levels <= order - 1:
         raise InvalidParameterError(
             f"peel depth must satisfy 1 <= levels <= order - 1; got "
             f"levels={levels} for order {order}"
         )
+    if np is None:
+        yield from _scalar_peel(order, arr, levels)
+        return
     for kind, level, payload in _peel(np, order, arr, levels):
         yield kind, level, (payload if kind == "subs"
                             else payload.astype(np.int8))

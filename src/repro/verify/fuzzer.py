@@ -17,13 +17,14 @@ Four comparison families mirror the repo's four public surfaces:
   verdict (the NumPy, bit-sliced and composed kernels decide by
   routing); the paper's membership ≡ routability equivalence,
   cross-engine.
-- **universal** — Waksman looping setup: scalar vs batch setup states
-  byte-for-byte, then the realized permutation under those states via
-  every external-state engine, checked against the requested
-  permutation itself (the oracle is algebra, not another engine).
-- **twopass** — scalar vs batch two-pass factors, factor properties
-  (``omega_2[omega_1] == p``), and the composed two-transit delivery
-  realizing ``p`` exactly.
+- **universal** — Waksman looping setup: every kernel's batch setup
+  states vs the scalar looping algorithm byte-for-byte, then the
+  realized permutation under those states via every external-state
+  engine, checked against the requested permutation itself (the oracle
+  is algebra, not another engine).
+- **twopass** — every kernel's two-pass factors vs the scalar
+  decomposition, factor properties (``omega_2[omega_1] == p``), and the
+  composed two-transit delivery realizing ``p`` exactly.
 - **composed** — the block-composed engine's decomposition itself:
   assembled composed setup states vs the scalar looping oracle
   byte-for-byte, and the *streamed* form
@@ -61,6 +62,8 @@ from ..engines import (
     SELF_ROUTE_ENGINES,
     STATES_ENGINES,
     EngineRun,
+    exec_engine_names,
+    get,
 )
 
 __all__ = [
@@ -245,27 +248,38 @@ def _normalize_states_batch(states_batch):
     )
 
 
+def _setup_kernels() -> List[str]:
+    """The kernel rows the ``universal`` and ``twopass`` families run
+    their setup ops on: every row of the kernel table whose dependency
+    gate is open right now (``numpy`` only when NumPy is importable)."""
+    return [name for name in exec_engine_names() if get(name).available()]
+
+
 def check_universal(rows: Sequence[Row], order: int, *,
                     engines: Optional[Dict[str, object]] = None,
                     ) -> List[Disagreement]:
-    """Waksman universal setup, differentially: batch setup states must
-    equal the scalar looping algorithm byte-for-byte, and every
-    external-state engine must realize exactly the requested
-    permutation under those states."""
+    """Waksman universal setup, differentially: every kernel's batch
+    setup states (``waksman-<kernel>``) must equal the scalar looping
+    algorithm byte-for-byte, and every external-state engine must
+    realize exactly the requested permutation under those states."""
     table = engines if engines is not None else STATES_ENGINES
     out: List[Disagreement] = []
     scalar_states = [setup_states(row) for row in rows]
-    batch_states = batch_setup_states(order, list(rows))
-    i = _first_diff(_normalize_states_batch(scalar_states),
-                    _normalize_states_batch(batch_states))
-    if i is not None:
-        out.append(Disagreement(
-            family="universal", field="setup_states", order=order,
-            engine_a="waksman-scalar", engine_b="waksman-batch",
-            index=i, row=tuple(rows[i]),
-            detail="batch Waksman states diverge from scalar looping",
-        ))
-        return out  # realized comparisons would only echo this
+    expected = _normalize_states_batch(scalar_states)
+    for kernel in _setup_kernels():
+        batch_states = batch_setup_states(order, list(rows),
+                                          engine=kernel)
+        i = _first_diff(expected, _normalize_states_batch(batch_states))
+        if i is not None:
+            out.append(Disagreement(
+                family="universal", field="setup_states", order=order,
+                engine_a="waksman-scalar", engine_b=f"waksman-{kernel}",
+                index=i, row=tuple(rows[i]),
+                detail=f"{kernel} Waksman states diverge from scalar "
+                       f"looping",
+            ))
+    if out:
+        return out  # realized comparisons would only echo these
     for name in table:
         realized = table[name](scalar_states, order)
         for b, row in enumerate(rows):
@@ -359,38 +373,42 @@ def _as_row_list(factor_batch) -> List[Row]:
 
 
 def check_twopass(rows: Sequence[Row], order: int) -> List[Disagreement]:
-    """Two-pass universal routing, differentially: batch factors must
-    match the scalar decomposition, compose back to ``p``, and the
-    composed two-transit delivery must realize ``p`` exactly."""
+    """Two-pass universal routing, differentially: every kernel's
+    factors (``twopass-<kernel>``) must match the scalar decomposition
+    and compose back to ``p``, and the composed two-transit delivery
+    must realize ``p`` exactly."""
     out: List[Disagreement] = []
-    first_b, second_b = batch_two_pass(order, list(rows))
-    first_b, second_b = _as_row_list(first_b), _as_row_list(second_b)
     scalar_first, scalar_second = [], []
     for row in rows:
         f, s = two_pass_decomposition(row)
         scalar_first.append(f.as_tuple())
         scalar_second.append(s.as_tuple())
-    for fld, scalar, batch in (("factor-omega1", scalar_first, first_b),
-                               ("factor-omega2", scalar_second,
-                                second_b)):
-        i = _first_diff(scalar, batch)
-        if i is not None:
-            out.append(Disagreement(
-                family="twopass", field=fld, order=order,
-                engine_a="twopass-scalar", engine_b="twopass-batch",
-                index=i, row=tuple(rows[i]),
-                detail=f"{scalar[i]} vs {batch[i]}",
-            ))
-    for b, row in enumerate(rows):
-        composed = tuple(second_b[b][v] for v in first_b[b])
-        if composed != tuple(row):
-            out.append(Disagreement(
-                family="twopass", field="factor-composition",
-                order=order, engine_a="requested-permutation",
-                engine_b="twopass-batch", index=b, row=tuple(row),
-                detail=f"omega_2[omega_1] == {composed}",
-            ))
-            break
+    for kernel in _setup_kernels():
+        name = f"twopass-{kernel}"
+        first_b, second_b = batch_two_pass(order, list(rows),
+                                           engine=kernel)
+        first_b, second_b = _as_row_list(first_b), _as_row_list(second_b)
+        for fld, scalar, batch in (
+                ("factor-omega1", scalar_first, first_b),
+                ("factor-omega2", scalar_second, second_b)):
+            i = _first_diff(scalar, batch)
+            if i is not None:
+                out.append(Disagreement(
+                    family="twopass", field=fld, order=order,
+                    engine_a="twopass-scalar", engine_b=name,
+                    index=i, row=tuple(rows[i]),
+                    detail=f"{scalar[i]} vs {batch[i]}",
+                ))
+        for b, row in enumerate(rows):
+            composed = tuple(second_b[b][v] for v in first_b[b])
+            if composed != tuple(row):
+                out.append(Disagreement(
+                    family="twopass", field="factor-composition",
+                    order=order, engine_a="requested-permutation",
+                    engine_b=name, index=b, row=tuple(row),
+                    detail=f"omega_2[omega_1] == {composed}",
+                ))
+                break
     routed = batch_route_two_pass(order, list(rows))
     for b, row in enumerate(rows):
         delivered = tuple(int(v) for v in routed.mappings[b])

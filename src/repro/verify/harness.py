@@ -47,6 +47,7 @@ from ..engines import (
 from .faults import run_campaign
 from .fuzzer import (
     Disagreement,
+    _setup_kernels,
     check_composed,
     check_membership,
     check_partial,
@@ -329,8 +330,9 @@ def run_verify(config: VerifyConfig) -> VerifyReport:
         engines={
             "selfroute": list(selfroute_engines),
             "membership": list(MEMBERSHIP_ENGINES),
-            "universal": list(STATES_ENGINES),
-            "twopass": ["twopass-scalar", "twopass-batch"],
+            "universal": [f"waksman-{k}" for k in _setup_kernels()]
+            + list(STATES_ENGINES),
+            "twopass": [f"twopass-{k}" for k in _setup_kernels()],
             "composed": ["waksman-scalar", "waksman-composed",
                          "composed-stream"],
             "partial": list(PARTIAL_ENGINES),

@@ -207,6 +207,20 @@ class TestStreaming:
         assert stats["chunks"] > 0
         assert stats["peak_chunk_bytes"] > 0
 
+    @pytest.mark.skipif(not have_numpy(),
+                        reason="compares the NumPy leg with the fallback")
+    def test_setup_chunk_accounting_same_on_both_platforms(
+            self, rng, monkeypatch):
+        rows = _rows(6, 3, rng)
+        composed_stats_clear()
+        composed_setup_states(6, rows)
+        with_numpy = composed_stats()
+        composed_stats_clear()
+        monkeypatch.setattr(_np_mod, "FORCE_FALLBACK", True)
+        composed_setup_states(6, rows)
+        assert composed_stats() == with_numpy == {
+            "blocks": 6, "chunks": 1, "peak_chunk_bytes": 864}
+
 
 class TestEngineIntegration:
     def test_batch_seam_accepts_composed(self, rng):

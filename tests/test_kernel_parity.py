@@ -31,6 +31,9 @@ from repro.accel import (
     batch_self_route,
     batch_setup_states,
     batch_two_pass,
+    composed_route_with_states,
+    composed_self_route,
+    composed_setup_states,
     have_numpy,
     resolve_engine,
 )
@@ -129,7 +132,9 @@ class TestWrappersPreserveKernelOutput:
             sharded = dispatch(op, rows, engine=kernel, parallel=2,
                                **options)
         assert _canon(sharded) == _canon(bare)
-        if kernel != "composed":  # composed shards its inner blocks
+        # composed shards its inner blocks (several shardings); its
+        # two_pass runs whole on the inner engine, sharded once
+        if kernel != "composed" or op == "two_pass":
             assert obs.snapshot()["counters"]["executor.mode.process"] \
                 == 1
 
@@ -144,7 +149,7 @@ class TestWrappersPreserveKernelOutput:
                 sharded = dispatch(op, rows, engine=kernel, parallel=2,
                                    **options)
         assert _canon(sharded) == _canon(bare)
-        if kernel != "composed":
+        if kernel != "composed" or op == "two_pass":
             assert obs.snapshot()["counters"]["executor.mode.thread"] \
                 == 1
 
@@ -240,6 +245,18 @@ class TestEdges:
         assert result.success_mask == (True, True)
         assert result.arrivals == ((), ())
         assert result.completed == (tuple(range(8)),) * 2
+
+    @pytest.mark.parametrize("entry", [
+        lambda rows: composed_self_route(rows, engine="bitslice"),
+        lambda rows: composed_route_with_states(
+            [setup_states(p) for p in rows], 1, engine="bitslice"),
+        lambda rows: composed_setup_states(1, rows, engine="bitslice"),
+    ], ids=["self_route", "route_with_states", "setup_states"])
+    def test_composed_order_one_keeps_inner_engine(self, entry):
+        obs.enable()
+        entry([(0, 1), (1, 0)])
+        counters = obs.snapshot()["counters"]
+        assert counters.get("accel.engine_selected.bitslice") == 1
 
     def test_auto_at_composed_threshold(self, monkeypatch):
         monkeypatch.setenv("BENES_COMPOSED_ORDER", "3")

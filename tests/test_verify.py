@@ -15,11 +15,13 @@ import pytest
 
 import repro.obs as obs
 from repro.accel import (
+    KERNELS,
     batch_in_class_f,
     batch_route_with_states,
     batch_self_route,
     batch_setup_states,
 )
+from repro.accel.kernels import scalar_setup_states, scalar_two_pass
 from repro.cli import main
 from repro.errors import InvalidParameterError, SwitchStateError
 from repro.verify import (
@@ -123,6 +125,30 @@ class TestFuzzerFamilies:
             assert check_membership(rows, order) == []
             assert check_universal(rows, order) == []
             assert check_twopass(rows, order) == []
+
+    def test_wrong_setup_row_reported_under_its_name(self, monkeypatch):
+        def wrong_states(perms, *, order):
+            states = scalar_setup_states(perms, order=order)
+            states[0][0][0] ^= 1
+            return states
+
+        monkeypatch.setitem(KERNELS["bitslice"], "setup_states",
+                            wrong_states)
+        found = check_universal(perm_rows(3, 4, random.Random(6)), 3)
+        assert [(d.field, d.engine_b) for d in found] == \
+            [("setup_states", "waksman-bitslice")]
+
+    def test_wrong_two_pass_row_reported_under_its_name(self,
+                                                        monkeypatch):
+        def wrong_factors(perms, *, order):
+            first, second = scalar_two_pass(perms, order=order)
+            return first, [tuple(reversed(s)) for s in second]
+
+        monkeypatch.setitem(KERNELS["bitslice"], "two_pass",
+                            wrong_factors)
+        found = check_twopass(perm_rows(3, 4, random.Random(7)), 3)
+        assert found
+        assert {d.engine_b for d in found} == {"twopass-bitslice"}
 
     def test_catches_planted_mutant(self):
         engines = {
