@@ -4,16 +4,26 @@ entry point.
 The analysis layer routes *millions* of tag vectors (cardinality
 sweeps, Monte-Carlo F(n) density estimates, fault sweeps).  The NumPy
 kernels here advance a whole batch through each of the ``2n - 1``
-stages *simultaneously* as a ``(N, B)`` integer array (terminals ×
-instances): a stage's switch decisions are one bitwise expression on
-the even rows (the self-routing rule reads bit ``min(s, 2n-2-s)`` of
-the upper input's tag), the conditional exchange is the arithmetic
-pair-swap ``diff = (odd - even) * s; even += diff; odd -= diff``, and a
-link crossing is one gather through the precompiled inverse-link index
-of the :class:`~repro.accel.plans.StagePlan`.  Each value carries its
-source in the high bits (``source << order | tag``), so one array routes
-both and the pair is unpacked once at the end (~40x over the scalar
-loop at order 8).
+stages *simultaneously* as an ``(N, B)`` array (terminals × instances)
+in the paper's cube-interchange layout (Section III): every signal
+keeps its cube position, and stage ``s`` exchanges positions ``i`` and
+``i + 2^k`` across dimension ``k = min(s, 2n-2-s)``, in place, through
+an ``(N >> (k+1), 2, (1 << k) * B)`` view of the block.  A stage's switch
+decisions are one bitwise expression on the upper halves (the
+self-routing rule reads bit ``k`` of the upper input's tag), the
+conditional exchange is the arithmetic swap ``diff = (lower - upper) *
+cond; upper += diff; lower -= diff``, and no link is ever crossed: the
+links of ``B(n)`` only move a signal between topology rows, never off
+its position, and the first and last columns are in position order.
+Each value carries its source in the high bits (``source << order |
+tag``), so one array routes both and the pair is unpacked once at the
+end.  The block uses the narrowest unsigned dtype that holds its
+values.  Topology rows come back only where a caller sees them —
+``stage_states``, stuck switches, external switch states and stage
+ranges that start or stop inside the network — through the lazily
+built tables of the :class:`~repro.accel.plans.StagePlan`.  A list or
+tuple batch becomes an array in one ``np.fromiter`` pass
+(:func:`_int64_rows`).
 
 The three primitives — :func:`batch_self_route`,
 :func:`batch_route_with_states`, :func:`batch_in_class_f` — and the
@@ -28,6 +38,7 @@ metrics; disabled, the only cost is one flag check per call.
 
 from __future__ import annotations
 
+from itertools import chain
 from time import perf_counter as _perf_counter
 
 from .. import obs as _obs
@@ -83,9 +94,37 @@ def _order_hint(width):
     return None
 
 
+def _int64_rows(np, rows):
+    """``np.asarray(rows, dtype=np.int64)``, in one ``np.fromiter``
+    pass over the chained values when ``rows`` is a list or tuple of
+    list/tuple rows of one length.
+
+    Any other batch, and any row batch ``fromiter`` rejects
+    (``TypeError``, ``ValueError``, ``OverflowError``), goes to
+    ``np.asarray``, so the values and errors are ``np.asarray``'s.  The
+    length check comes first because ``count=`` alone would accept a
+    long row balanced by a short one.  One difference remains: an
+    element ``int()`` accepts that ``np.asarray`` reads as a sequence
+    (a ``bytearray``, say) converts as its ``int`` here.
+    """
+    if type(rows) in (list, tuple) and rows \
+            and {*map(type, rows)} <= {list, tuple}:
+        lengths = {*map(len, rows)}
+        if len(lengths) == 1:
+            width = lengths.pop()
+            try:
+                return np.fromiter(
+                    chain.from_iterable(rows), dtype=np.int64,
+                    count=len(rows) * width,
+                ).reshape(len(rows), width)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return np.asarray(rows, dtype=np.int64)
+
+
 def _as_tag_array(np, tags_batch):
     """Validate a batch of tag vectors as a ``(B, N)`` int64 array."""
-    arr = np.asarray(tags_batch, dtype=np.int64)
+    arr = _int64_rows(np, tags_batch)
     if arr.ndim != 2:
         raise SizeMismatchError(
             f"expected a (B, N) batch of tag vectors, got shape "
@@ -116,7 +155,7 @@ def _reject_scalar_options(entry: str, options: dict) -> None:
 
 def _stuck_plan(np, order: int, stuck_switches):
     """Validate a ``{(stage, switch): state}`` fault map and compile it
-    into per-stage ``(switch_indices, states)`` index arrays — the
+    into per-stage ``(pair_indices, states)`` index arrays — the
     vectorized stuck-mask applied on top of each stage's control
     decision (one fancy assignment per faulted stage)."""
     if not stuck_switches:
@@ -129,104 +168,161 @@ def _stuck_plan(np, order: int, stuck_switches):
         grouped.setdefault(stage, ([], []))
         grouped[stage][0].append(index)
         grouped[stage][1].append(1 if state else 0)
+    pair_of_switch = stage_plan(order).np_pair_maps()[0]
     return {
-        stage: (np.asarray(idx, dtype=np.intp),
+        stage: (pair_of_switch[stage][np.asarray(idx, dtype=np.intp)],
                 np.asarray(vals, dtype=np.int64))
         for stage, (idx, vals) in grouped.items()
     }
 
 
 def _working_block(np, arr, n_value_bits):
-    """Transpose ``(B, N)`` into the ``(N, B)`` working layout with the
-    narrowest safe dtype for ``n_value_bits`` bits per element (int32
-    covers packed source+tag routing up to order 15).
+    """Transpose ``(B, N)`` into the ``(N, B)`` working layout in the
+    narrowest unsigned dtype holding ``n_value_bits`` bits per element
+    (``uint16`` for packed source+tag routing up to order 8).
 
     ``copy=True``: the routing kernel mutates the block in place, and
     the transpose of a caller-owned F-contiguous array would alias it.
     """
-    dtype = np.int32 if n_value_bits <= 31 else np.int64
+    dtype = np.min_scalar_type((1 << n_value_bits) - 1)
     return np.array(arr.T, dtype=dtype, order="C", copy=True)
 
 
-def _swap_stage(rows, cond):
-    """In place, exchange adjacent row pairs of the ``(N, B)`` array
-    where ``cond`` (``(N/2, B)``, values 0/1) is set — branch-free:
-    ``diff = (odd - even) * cond`` then ``even += diff; odd -= diff``."""
-    even = rows[0::2, :]
-    odd = rows[1::2, :]
-    diff = (odd - even) * cond
-    even += diff
-    odd -= diff
+def _halves(rows, k):
+    """The upper and lower inputs of every interchange across cube
+    dimension ``k``: two views of the ``(N, B)`` block, holding
+    positions ``i`` and ``i + 2^k`` for every ``i`` with bit ``k``
+    clear.  The block is viewed as ``(N >> (k+1), 2, (1 << k) * B)``,
+    its ``(N >> (k+1), 2, 1 << k, B)`` interchange form with the last
+    two axes merged (they are contiguous), so each half is 2-D and in
+    pair order.  ``rows`` must be C-contiguous: the reshape of any other
+    layout is a copy, and the interchange would not reach the block."""
+    n_rows, batch = rows.shape
+    view = rows.reshape(n_rows >> (k + 1), 2, batch << k)
+    return view[:, 0], view[:, 1]
+
+
+def _interchange(upper, lower, cond):
+    """In place, exchange ``upper`` and ``lower`` where ``cond`` (0/1)
+    is set — branch-free and exact in unsigned wrap-around arithmetic:
+    ``diff = (lower - upper) * cond`` then ``upper += diff;
+    lower -= diff``."""
+    diff = lower - upper
+    diff *= cond
+    upper += diff
+    lower -= diff
+
+
+def _to_positions(np, plan, rows, start):
+    """An ``(N, B)`` block given in the rows of column ``start - 1``
+    (as they leave it), moved to cube positions; column 0 is already in
+    position order."""
+    if not start:
+        return rows
+    out = np.empty_like(rows)
+    out[plan.np_positions()[start - 1]] = rows
+    return out
+
+
+def _to_rows(plan, rows, stop):
+    """A position-ordered ``(N, B)`` block, returned in the rows of
+    column ``stop - 1``; the last column is already in position
+    order."""
+    if stop == plan.n_stages:
+        return rows
+    return rows[plan.np_positions()[stop - 1]]
 
 
 def _route_array(np, rows, order, stage_cross=None, omega_mode=False,
                  stuck=None, stage_states=None, stages=None):
     """Push an ``(N, B)`` value block through the switch columns
-    ``stages`` (default: all ``2n - 1``) in place, modulo link gathers:
-    every column but stage 0 is entered through the link from the
-    column before it.  The self-routing control reads tag bits of
-    ``rows``, which must occupy the low ``order`` bits of each value.
+    ``stages`` (a range, default all ``2n - 1``) in place: the block
+    enters in the rows of column ``stages.start - 1`` and leaves in the
+    rows of column ``stages.stop - 1``.  In between every signal stays
+    at its cube position and stage ``s`` interchanges across dimension
+    ``ctrl_bits[s]``, so no link is crossed; only a range boundary
+    inside the network costs one reorder.  The self-routing control
+    reads tag bits of ``rows``, which must occupy the low ``order``
+    bits of each value.
 
     When ``stage_cross`` is a list, the per-instance crossed-switch
-    count of every stage (a ``(B,)`` array) is appended to it.  With
-    ``omega_mode`` the first ``order - 1`` columns are forced straight
-    (the Section II omega-bit extension).  ``stuck`` is a compiled
-    fault plan (:func:`_stuck_plan`): in each faulted stage the stuck
-    switches' decisions are overwritten with their stuck states —
+    count of every stage (a ``(B,)`` int64 array) is appended to it.
+    With ``omega_mode`` the first ``order - 1`` columns are forced
+    straight (the Section II omega-bit extension).  ``stuck`` is a
+    compiled fault plan (:func:`_stuck_plan`): in each faulted stage the
+    stuck switches' decisions are overwritten with their stuck states —
     overriding the omega forcing too, exactly like the structural
-    network.  When ``stage_states`` is a list, the full ``(N/2, B)``
-    0/1 decision array of every stage is appended to it.
+    network.  When ``stage_states`` is a list, one ``(len(stages), N/2,
+    B)`` int8 array is appended to it: every stage's 0/1 decisions in
+    switch order, reordered from pair order once per call.
     """
     plan = stage_plan(order)
-    inv_links = plan.np_inv_links()
+    if stages is None:
+        stages = range(plan.n_stages)
+    rows = _to_positions(np, plan, rows, stages.start)
+    half, batch = rows.shape[0] // 2, rows.shape[1]
     omega_stages = order - 1 if omega_mode else 0
-    half = rows.shape[0] // 2
-    for stage in range(plan.n_stages) if stages is None else stages:
-        if stage:
-            rows = rows[inv_links[stage - 1]]
+    decisions = (np.zeros((len(stages), half, batch), dtype=np.int8)
+                 if stage_states is not None else None)
+    halves = {}  # stage s and its mirror 2n-2-s share one dimension
+    for i, stage in enumerate(stages):
+        k = plan.ctrl_bits[stage]
+        if k not in halves:
+            halves[k] = _halves(rows, k)
+        upper, lower = halves[k]
         stuck_here = stuck.get(stage) if stuck else None
-        if stage < omega_stages and stuck_here is None:
-            if stage_cross is not None:
-                stage_cross.append(
-                    np.zeros(rows.shape[1], dtype=rows.dtype)
-                )
-            if stage_states is not None:
-                stage_states.append(
-                    np.zeros((half, rows.shape[1]), dtype=np.int8)
-                )
-            continue
         if stage < omega_stages:
-            cond = np.zeros((half, rows.shape[1]), dtype=rows.dtype)
+            if stuck_here is None:
+                if stage_cross is not None:
+                    stage_cross.append(np.zeros(batch, dtype=np.int64))
+                continue
+            cond = np.zeros(upper.shape, dtype=rows.dtype)
         else:
-            ctrl = plan.ctrl_bits[stage]
-            cond = (rows[0::2, :] >> ctrl) & 1
+            cond = upper >> k
+            cond &= 1
         if stuck_here is not None:
-            indices, states = stuck_here
-            cond[indices, :] = states.astype(rows.dtype)[:, None]
+            pairs, states = stuck_here
+            cond.reshape(half, batch)[pairs] = \
+                states.astype(rows.dtype)[:, None]
         if stage_cross is not None:
-            stage_cross.append(cond.sum(axis=0))
-        if stage_states is not None:
-            stage_states.append(cond.astype(np.int8))
-        _swap_stage(rows, cond)
-    return rows
+            stage_cross.append(
+                cond.reshape(half, batch).sum(axis=0, dtype=np.int64))
+        if decisions is not None:
+            decisions[i] = cond.reshape(half, batch)
+        _interchange(upper, lower, cond)
+    if decisions is not None:
+        # row of (stage i, switch j) in the flattened decisions
+        switch_rows = plan.np_pair_maps()[0][stages.start:stages.stop] \
+            + np.arange(0, len(stages) * half, half)[:, None]
+        stage_states.append(
+            decisions.reshape(-1, batch).take(switch_rows, axis=0))
+    return _to_rows(plan, rows, stages.stop)
 
 
 def _state_transit(np, states, order: int, stages, rows=None):
     """Push an ``(N, B)`` block (identity rows when ``rows`` is None)
     through the switch columns ``stages`` of a ``(B, 2n-1, N/2)``
-    external state batch, entering each column like
-    :func:`_route_array` does."""
+    external state batch, entering and leaving in topology rows like
+    :func:`_route_array`.  The range's columns are reordered into pair
+    order with one gather per call."""
     plan = stage_plan(order)
-    inv_links = plan.np_inv_links()
+    batch, half = states.shape[0], plan.n_terminals // 2
     if rows is None:
-        dtype = np.int32 if order <= 31 else np.int64
+        dtype = np.min_scalar_type(plan.n_terminals - 1)
         rows = np.repeat(np.arange(plan.n_terminals, dtype=dtype)[:, None],
-                         states.shape[0], axis=1)
-    for stage in stages:
-        if stage:
-            rows = rows[inv_links[stage - 1]]
-        _swap_stage(rows, (states[:, stage, :].T != 0).astype(rows.dtype))
-    return rows
+                         batch, axis=1)
+    rows = _to_positions(np, plan, rows, stages.start)
+    # column of (stage i, pair p) in the flattened states
+    pair_columns = plan.np_pair_maps()[1][stages.start:stages.stop] \
+        + np.arange(stages.start * half, stages.stop * half, half)[:, None]
+    conds = np.not_equal(
+        states.reshape(batch, -1).take(pair_columns, axis=1)
+        .transpose(1, 2, 0), 0, order="C",
+    ).astype(rows.dtype)
+    for stage, cond in zip(stages, conds):
+        upper, lower = _halves(rows, plan.ctrl_bits[stage])
+        _interchange(upper, lower, cond.reshape(upper.shape))
+    return _to_rows(plan, rows, stages.stop)
 
 
 def _inverse(np, perms):
@@ -286,7 +382,7 @@ def numpy_self_route(tags_batch, *, omega_mode=False, stage_data=False,
         success_mask=success,
         mappings=(rows >> order).T.astype(np.int64),
         per_stage=(np.array(stage_cross) if stage_data else None),
-        stage_states=(np.transpose(np.array(states_acc), (2, 0, 1))
+        stage_states=(np.transpose(states_acc[0], (2, 0, 1))
                       if stage_states else None),
     )
 
@@ -380,9 +476,11 @@ def dispatch(op: str, rows, *, engine=None, parallel=False, **options):
     with the concrete engine and records work-scope metrics only — or
     calls ``KERNELS[engine][op](rows, **options)``.  The composed
     kernels shard their inner blocks themselves, so they receive
-    ``parallel`` instead.  An empty batch raises
-    :class:`~repro.errors.InvalidParameterError` on every engine (no
-    engine can infer ``N`` from zero rows).
+    ``parallel`` instead.  The pure-Python kernels (``scalar``,
+    ``bitslice``) take Python ints only, so an ndarray batch reaches
+    them as lists, converted here with one ``.tolist()``.  An empty
+    batch raises :class:`~repro.errors.InvalidParameterError` on every
+    engine (no engine can infer ``N`` from zero rows).
     """
     opened = _spans.start_span(_OPS[op][1])
     try:
@@ -415,6 +513,10 @@ def dispatch(op: str, rows, *, engine=None, parallel=False, **options):
                 options["parallel"] = parallel
             if enabled and op == "self_route":
                 totals = options["_stage_totals"] = []
+            np = numpy_or_none()
+            if engine in ("scalar", "bitslice") and np is not None \
+                    and isinstance(rows, np.ndarray):
+                rows = rows.tolist()
             from .kernels import KERNELS
 
             result = KERNELS[engine][op](rows, **options)

@@ -376,8 +376,8 @@ def _np_self_route(np, plan, arr, *, omega_mode, stage_data,
     if stage_states:
         mid_full = mid_states.reshape(batch, nb, plan.mid_stages, w) \
             .transpose(0, 2, 1, 3).reshape(batch, plan.mid_stages, n // 2)
-        entry_arr = np.transpose(np.array(entry_cols), (2, 0, 1))
-        exit_arr = np.transpose(np.array(exit_cols), (2, 0, 1))
+        entry_arr = np.transpose(entry_cols[0], (2, 0, 1))
+        exit_arr = np.transpose(exit_cols[0], (2, 0, 1))
         states_out = np.concatenate([entry_arr, mid_full, exit_arr],
                                     axis=1)
     per_stage = None

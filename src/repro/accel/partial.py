@@ -45,7 +45,7 @@ from .. import obs as _obs
 from ..core.bits import log2_exact
 from ..errors import InvalidParameterError
 from ._np import numpy_or_none
-from .batch import batch_self_route
+from .batch import _int64_rows, batch_self_route
 
 __all__ = [
     "IDLE",
@@ -131,7 +131,7 @@ def complete_partial_row(row: Sequence[int]) -> Row:
 
 
 def _complete_numpy(np, rows):
-    arr = np.asarray(rows, dtype=np.int64)
+    arr = _int64_rows(np, rows)
     if arr.ndim != 2:
         raise InvalidParameterError(
             "partial batch must be a (B, N) array of destinations "

@@ -4,13 +4,24 @@ A :class:`StagePlan` is everything the batch router needs to push a
 ``(B, N)`` block of tag vectors through ``B(order)`` without touching
 the structural model per call:
 
-- the control-bit schedule ``(0, 1, ..., n-1, ..., 1, 0)`` (Fig. 3);
+- the control-bit schedule ``(0, 1, ..., n-1, ..., 1, 0)`` (Fig. 3),
+  which is also the cube dimension each stage interchanges across
+  (Section III; :func:`repro.simd.permute.benes_dimension_schedule`);
 - the ``2n - 2`` inter-stage link permutations of
-  :class:`~repro.core.topology.BenesTopology`, plus their **inverses**
-  so a link crossing becomes a single NumPy *gather*
-  (``rows[:, inv_link]``) instead of a scatter;
-- lazily-built ``intp`` index arrays of those inverses (only when NumPy
-  is importable — the plan itself is pure Python and always available).
+  :class:`~repro.core.topology.BenesTopology` and their inverses, the
+  form the pure-Python kernels cross links with;
+- lazily-built NumPy tables (only when NumPy is importable — the plan
+  itself is pure Python and always available): the inverse links, the
+  cube position of every row of every column, and the maps between a
+  column's switches and its interchange pairs.
+
+The NumPy kernels never cross a link: they keep each signal at its cube
+position and interchange across dimension ``ctrl_bits[s]`` at stage
+``s``.  The position and pair tables translate between that layout and
+topology rows, and only four things need them — ``stage_states``
+output, stuck switches, external switch states, and a stage range that
+starts or stops inside the network.  A full-range self-route or
+membership call builds none of them.
 
 Plans and topologies live in bounded, lock-guarded
 :class:`~repro.accel.lru.LRUCache` instances.  :func:`cached_topology`
@@ -153,12 +164,12 @@ class StagePlan:
         links: the topology's link permutations (``links[s][r]`` = input
             row of column ``s+1`` fed by output row ``r`` of column ``s``).
         inv_links: their inverses (``inv_links[s][j]`` = output row of
-            column ``s`` wired to input row ``j`` of column ``s+1``), the
-            gather form used by the vectorized engine.
+            column ``s`` wired to input row ``j`` of column ``s+1``).
     """
 
     __slots__ = ("order", "n_terminals", "n_stages", "ctrl_bits",
-                 "links", "inv_links", "_np_inv_links")
+                 "links", "inv_links", "_np_inv_links", "_np_positions",
+                 "_np_pair_maps")
 
     def __init__(self, topology: BenesTopology):
         self.order = topology.order
@@ -168,6 +179,8 @@ class StagePlan:
         self.links = topology.links
         self.inv_links = tuple(_invert(link) for link in topology.links)
         self._np_inv_links = None
+        self._np_positions = None
+        self._np_pair_maps = None
 
     def np_inv_links(self):
         """``(2n-2, N)`` ``intp`` array of the inverse links, built on
@@ -186,6 +199,55 @@ class StagePlan:
             arr.setflags(write=False)
             self._np_inv_links = arr
         return self._np_inv_links
+
+    def np_positions(self):
+        """``(2n-1, N)`` ``intp`` array: ``positions[s][r]`` is the cube
+        position of row ``r`` of column ``s``.  Row ``r`` of column 0 is
+        position ``r``, and a link moves no signal off its position
+        (``positions[s+1][links[s][r]] == positions[s][r]``), so each
+        column is one gather of the one before.  Built on first use.
+
+        On this topology the pair ``(2j, 2j+1)`` of column ``s`` holds
+        positions ``(i, i + 2^k)`` with ``k = ctrl_bits[s]`` and bit
+        ``k`` of ``i`` clear, and the last column is the identity
+        (``tests/test_accel.py::TestPlans``)."""
+        if self._np_positions is None:
+            np = numpy_or_none()
+            inv_links = self.np_inv_links()
+            pos = np.empty((self.n_stages, self.n_terminals),
+                           dtype=np.intp)
+            pos[0] = np.arange(self.n_terminals)
+            for stage, inv_link in enumerate(inv_links):
+                pos[stage + 1] = pos[stage][inv_link]
+            pos.setflags(write=False)
+            self._np_positions = pos
+        return self._np_positions
+
+    def np_pair_maps(self):
+        """``(pair_of_switch, switch_of_pair)``: two ``(2n-1, N/2)``
+        ``intp`` arrays, inverse permutations of each other per stage.
+        Interchange pair ``p`` of stage ``s`` across dimension ``k`` is
+        the ``p``-th position with bit ``k`` clear in increasing order,
+        which is how the NumPy kernels lay out a stage's decisions;
+        switch ``j`` of column ``s`` is pair ``pair_of_switch[s][j]``.
+        Built on first use."""
+        if self._np_pair_maps is None:
+            np = numpy_or_none()
+            upper = self.np_positions()[:, 0::2]
+            k = np.array(self.ctrl_bits, dtype=np.intp)[:, None]
+            pair_of_switch = ((upper >> (k + 1)) << k) | \
+                (upper & ((1 << k) - 1))
+            switch_of_pair = np.empty_like(pair_of_switch)
+            np.put_along_axis(
+                switch_of_pair, pair_of_switch,
+                np.broadcast_to(np.arange(upper.shape[1], dtype=np.intp),
+                                upper.shape),
+                axis=1,
+            )
+            pair_of_switch.setflags(write=False)
+            switch_of_pair.setflags(write=False)
+            self._np_pair_maps = (pair_of_switch, switch_of_pair)
+        return self._np_pair_maps
 
 
 def stage_plan(order: int) -> StagePlan:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import threading
+from enum import IntEnum
 from itertools import islice, permutations
 
 import pytest
@@ -38,7 +39,8 @@ from repro.core import BenesNetwork, random_permutation
 from repro.core.fastpath import fast_route_with_states, fast_self_route
 from repro.core.membership import in_class_f
 from repro.core.topology import BenesTopology
-from repro.errors import MissingDependencyError
+from repro.errors import InvalidParameterError, MissingDependencyError
+from repro.simd.permute import benes_dimension_schedule
 
 
 @pytest.fixture
@@ -149,6 +151,61 @@ class TestPlans:
         assert arr.shape == (4, 8) and arr.dtype == np.intp
         assert stage_plan(1).np_inv_links().shape == (0, 2)
 
+    @pytest.mark.parametrize("order", range(1, 15))
+    def test_interchange_layout(self, order):
+        """The NumPy kernels' layout (Section III): a link moves no
+        signal off its cube position, switch ``j`` of stage ``s`` holds
+        positions ``(i, i + 2^k)`` on rows ``(2j, 2j+1)`` with
+        ``k = ctrl_bits[s]`` (the CCC dimension schedule), and the
+        last column is in position order."""
+        if not have_numpy():
+            pytest.skip("NumPy absent")
+        np = numpy_or_none()
+        plan = stage_plan(order)
+        assert plan.ctrl_bits == tuple(benes_dimension_schedule(order))
+        n = plan.n_terminals
+        pos = plan.np_positions()
+        assert pos.shape == (plan.n_stages, n)
+        assert np.array_equal(pos[0], np.arange(n))
+        for stage, link in enumerate(cached_topology(order).links):
+            assert np.array_equal(pos[stage + 1][np.asarray(link)],
+                                  pos[stage])
+        k = np.array(plan.ctrl_bits)[:, None]
+        upper, lower = pos[:, 0::2], pos[:, 1::2]
+        assert not ((upper >> k) & 1).any()
+        assert np.array_equal(lower, upper + (1 << k))
+        assert np.array_equal(pos[-1], np.arange(n))
+        pair_of_switch, switch_of_pair = plan.np_pair_maps()
+        for stage, bit in enumerate(plan.ctrl_bits):
+            clear = np.flatnonzero(((np.arange(n) >> bit) & 1) == 0)
+            assert np.array_equal(pair_of_switch[stage],
+                                  np.searchsorted(clear, upper[stage]))
+        pairs = np.arange(n // 2)
+        assert np.array_equal(
+            np.take_along_axis(pair_of_switch, switch_of_pair, axis=1),
+            np.broadcast_to(pairs, pair_of_switch.shape))
+        assert np.array_equal(
+            np.take_along_axis(switch_of_pair, pair_of_switch, axis=1),
+            np.broadcast_to(pairs, pair_of_switch.shape))
+
+    def test_full_range_calls_build_no_layout_table(self):
+        """Plain self-routing and membership never leave cube-position
+        order, so they build none of the plan's NumPy tables."""
+        if not have_numpy():
+            pytest.skip("NumPy absent")
+        plan_cache().clear()
+        rows = [list(range(32))[::-1], list(range(32))]
+        batch_self_route(rows, engine="numpy")
+        batch_self_route(rows, engine="numpy", stage_data=True,
+                         omega_mode=True)
+        batch_in_class_f(rows, engine="numpy")
+        plan = stage_plan(5)
+        assert plan._np_inv_links is None
+        assert plan._np_positions is None
+        assert plan._np_pair_maps is None
+        batch_self_route(rows, engine="numpy", stage_states=True)
+        assert plan._np_pair_maps is not None
+
 
 class TestBatchSelfRouteParity:
     @pytest.mark.parametrize("order", [1, 2])
@@ -205,6 +262,83 @@ class TestBatchSelfRouteParity:
             batch_self_route([1, 2, 3, 0])       # 1-D, not a batch
         with pytest.raises(ValueError):
             batch_self_route([[0, 1, 2, 4]])     # tag out of range
+
+
+class _Index:
+    """An integer-like object with ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class _Bit(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+#: Batches for the list conversion; ``np`` builds the NumPy-typed ones.
+_CONVERSION_CASES = {
+    "ints": lambda np: [[0, 1, 2, 3], [3, 2, 1, 0]],
+    "tuple_rows": lambda np: [(0, 1), (1, 0)],
+    "tuple_batch": lambda np: ((0, 1), (1, 0)),
+    "list_and_tuple_rows": lambda np: [[0, 1], (1, 0)],
+    "bools": lambda np: [[True, False], [False, True]],
+    "int_enum": lambda np: [[_Bit.ONE, _Bit.ZERO]],
+    "np_scalars": lambda np: [[np.int64(1), np.uint8(0)]],
+    "floats": lambda np: [[0.0, 1.9]],
+    "nan": lambda np: [[float("nan"), 0.0]],
+    "numeric_strings": lambda np: [["1", "0"]],
+    "bad_string": lambda np: [["x", "0"]],
+    "string_rows": lambda np: ["01", "10"],
+    "none": lambda np: [[None, 0]],
+    "complex": lambda np: [[1 + 0j, 0]],
+    "index_objects": lambda np: [[_Index(1), _Index(0)]],
+    "nested": lambda np: [[[0, 1], [1, 0]]],
+    "ragged_short": lambda np: [[0, 1, 2, 3], [0, 1]],
+    "ragged_long": lambda np: [[0, 1], [0, 1, 2, 3]],
+    "ragged_balanced": lambda np: [[0, 1], [0, 1, 2], [0]],
+    "negative": lambda np: [[-1, 0]],
+    "at_2_63": lambda np: [[2 ** 63, 0]],
+    "above_2_64": lambda np: [[2 ** 64 + 1, 0]],
+    "ndarray_rows": lambda np: [np.array([0, 1]), np.array([1, 0])],
+    "ndarray": lambda np: np.array([[0, 1], [1, 0]], dtype=np.int32),
+    "empty_rows": lambda np: [[], []],
+}
+
+
+class TestListConversion:
+    """``batch._int64_rows`` converts list batches in one ``fromiter``
+    pass with exactly ``np.asarray(rows, dtype=np.int64)``'s outcome."""
+
+    @staticmethod
+    def _outcome(convert, rows):
+        try:
+            arr = convert(rows)
+        except Exception as exc:  # noqa: BLE001 - the type is compared
+            return type(exc)
+        return arr.dtype, arr.shape, arr.tolist()
+
+    @pytest.mark.parametrize("case", sorted(_CONVERSION_CASES))
+    def test_same_outcome_as_asarray(self, case):
+        if not have_numpy():
+            pytest.skip("NumPy absent")
+        from repro.accel.batch import _int64_rows
+
+        np = numpy_or_none()
+        rows = _CONVERSION_CASES[case](np)
+        assert self._outcome(lambda r: _int64_rows(np, r), rows) == \
+            self._outcome(lambda r: np.asarray(r, dtype=np.int64), rows)
+
+    @pytest.mark.parametrize("rows", [[[0, 1, 2, 4]], [(0, -1, 2, 3)],
+                                      [[0, 1], [2, 1]]])
+    def test_out_of_range_tags_rejected(self, rows):
+        if not have_numpy():
+            pytest.skip("range validation is the NumPy path's")
+        with pytest.raises(InvalidParameterError, match=r"\[0, \d+\)"):
+            batch_self_route(rows)
 
 
 class TestBatchRouteWithStatesParity:

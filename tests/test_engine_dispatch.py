@@ -174,6 +174,61 @@ class TestEntryPointParity:
             [[int(v) for v in stage]
              for stage in bits_result.per_stage]
 
+    @needs_numpy
+    @pytest.mark.parametrize("order", [4, 5, 8, 9, 16, 17])
+    def test_numpy_at_dtype_boundaries(self, order, rng):
+        """The NumPy block takes the narrowest unsigned dtype of its
+        values: ``2n`` bits for the packed self-route (it widens after
+        orders 4, 8 and 16), ``n`` bits for membership and external
+        states (after orders 8 and 16).  Bit and vector reversal are BPC
+        permutations, in F(n) by Theorem 2, so both deliver, as the
+        inverse mapping; a row outside F(n) does not."""
+        import numpy as np
+
+        from repro.accel import cache_clear
+        from repro.core.membership import in_class_f
+
+        n = 1 << order
+        index = np.arange(n)
+        bit_rev = np.zeros(n, dtype=np.int64)
+        for bit in range(order):
+            bit_rev |= ((index >> bit) & 1) << (order - 1 - bit)
+        bpc = [bit_rev.tolist(), index[::-1].tolist()]
+        non_f = next(row for row in (rng.sample(range(n), n)
+                                     for _ in range(50))
+                     if not in_class_f(row))
+        rows = bpc + [non_f]
+        try:
+            result = batch_self_route(rows, stage_states=True,
+                                      engine="numpy")
+            assert result.success_mask.tolist() == [True, True, False]
+            for perm, delivered in zip(bpc, result.mappings):
+                assert np.array_equal(delivered[perm], index)
+            assert batch_in_class_f(rows, engine="numpy").tolist() == \
+                [True, True, False]
+            realized = batch_route_with_states(
+                result.stage_states[:2], order, engine="numpy").mappings
+            assert realized.tolist() == bpc
+            if order > 9:
+                return
+            options = dict(stage_states=True, omega_mode=True,
+                           stuck_switches={(order - 1, 3): 1,
+                                           (0, n // 2 - 1): 1,
+                                           (2 * order - 2, 0): 0})
+            numpy_result = batch_self_route(rows, stage_data=True,
+                                            engine="numpy", **options)
+            scalar_result = _norm(batch_self_route(rows, engine="scalar",
+                                                   **options))
+            assert numpy_result.per_stage.dtype == np.int64
+            assert numpy_result.per_stage.T.tolist() == [
+                [sum(col) for col in states]
+                for states in scalar_result["states"]]
+            numpy_result = _norm(numpy_result)
+            del numpy_result["per_stage"]
+            assert numpy_result == scalar_result
+        finally:
+            cache_clear()  # order-17 plans hold a few hundred MB
+
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_all_entry_points(self, order, rng):
         n = 1 << order

@@ -258,6 +258,44 @@ class TestEdges:
         counters = obs.snapshot()["counters"]
         assert counters.get("accel.engine_selected.bitslice") == 1
 
+    @pytest.mark.parametrize("kernel,op", [
+        ("scalar", "in_class_f"), ("scalar", "setup_states"),
+        ("bitslice", "setup_states"), ("scalar", "two_pass"),
+        ("bitslice", "two_pass")])
+    def test_pure_python_kernels_take_ndarray_rows(self, kernel, op):
+        if not have_numpy():
+            pytest.skip("NumPy absent")
+        import numpy as np
+
+        rows = _batch(op, 3, 4, seed=23)
+        options = _options(op, 3)
+        from_lists = dispatch(op, rows, engine=kernel, **options)
+        from_array = dispatch(op, np.asarray(rows), engine=kernel,
+                              **options)
+        assert _canon(from_array) == _canon(from_lists)
+
+    def test_composed_setup_on_scalar_inner_engine(self, monkeypatch,
+                                                   capsys):
+        """The composed engine hands NumPy sub-permutations to its
+        inner engine; a pure-Python one gets them as lists."""
+        if not have_numpy():
+            pytest.skip("NumPy absent")
+        from repro.accel import iter_composed_states
+        from repro.cli import main
+
+        monkeypatch.setenv("BENES_COMPOSED_ORDER", "3")
+        assert resolve_engine(None, order=3, kind="setup") == "composed"
+        rows = _batch("setup_states", 3, 4, seed=29)
+        oracle = [[list(col) for col in setup_states(p)] for p in rows]
+        for inner in ("scalar", "bitslice"):
+            states = composed_setup_states(3, rows, engine=inner)
+            assert states.tolist() == oracle
+            chunks = list(iter_composed_states(3, rows[0], engine=inner))
+            assert chunks
+        assert main(["route", "--order", "4", "--engine", "scalar",
+                     "--check-blocks", "2"]) == 0
+        assert "OK" in capsys.readouterr().out
+
     def test_auto_at_composed_threshold(self, monkeypatch):
         monkeypatch.setenv("BENES_COMPOSED_ORDER", "3")
         monkeypatch.delenv("BENES_ENGINE", raising=False)
