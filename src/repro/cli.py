@@ -968,9 +968,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="coalescer size cutoff: flush a bucket "
                                "the moment it holds this many requests")
     p_daemon.add_argument("--max-wait-us", type=float, default=500.0,
-                          help="coalescer latency cutoff in "
-                               "microseconds: flush a bucket this long "
-                               "after its first request arrived")
+                          help="upper bound (>= 0) on a request's wait "
+                               "in the coalescer, in microseconds; the "
+                               "daemon flushes at the end of every "
+                               "event-loop tick, which always meets it")
     p_daemon.add_argument("--queue-limit", type=int, default=4096,
                           help="backpressure bound: requests queued "
                                "beyond this are rejected with status "

@@ -393,9 +393,9 @@ _SERVE_HANDLE = None
 
 def _serve_client():
     """A client of the per-process verification daemon, started lazily
-    on first use, reused across calls, stopped at interpreter exit.  A
-    coalescing window well above the adapter's pipelined submit time
-    keeps the requests micro-batched — the adapter verifies the
+    on first use, reused across calls, stopped at interpreter exit.  The
+    client sends each burst in one write, which the daemon reads in one
+    loop tick and routes as one batch — the adapter verifies the
     *coalesced* path, not a degenerate B=1 one."""
     global _SERVE_HANDLE
     from .serve.client import ServeClient
@@ -404,9 +404,7 @@ def _serve_client():
         from .serve import ServeConfig
         from .serve.daemon import start_in_thread
 
-        _SERVE_HANDLE = start_in_thread(ServeConfig(
-            port=0, max_batch=64, max_wait_us=5000.0,
-        ))
+        _SERVE_HANDLE = start_in_thread(ServeConfig(port=0, max_batch=64))
         atexit.register(_stop_serve_runtime)
     return ServeClient(*_SERVE_HANDLE.address)
 

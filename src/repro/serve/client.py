@@ -19,7 +19,7 @@ from __future__ import annotations
 import socket
 from typing import Dict, List, Optional, Sequence
 
-from ..errors import ProtocolError, ServerBusyError
+from ..errors import InvalidParameterError, ProtocolError, ServerBusyError
 from . import protocol
 
 __all__ = ["ServeClient"]
@@ -74,9 +74,19 @@ class ServeClient:
         """Send every request before reading any response (one write,
         one pipelined burst — the shape the daemon coalesces), then
         return responses **in request order** regardless of the order
-        batches completed in."""
+        batches completed in.  Responses are matched by id, so a burst
+        that repeats an id raises
+        :class:`~repro.errors.InvalidParameterError` before anything
+        is sent."""
         if not requests:
             return []
+        seen = set()
+        for request in requests:
+            if request.id in seen:
+                raise InvalidParameterError(
+                    f"request id {request.id} appears more than once in "
+                    "one burst; responses are matched to requests by id")
+            seen.add(request.id)
         lines = "".join(protocol.encode_request(request) + "\n"
                         for request in requests)
         self._sock.sendall(lines.encode("utf-8"))

@@ -17,8 +17,8 @@ width, omega mode, fault map, states flag):
   cannot hold a batch forever);
 - a bucket reaching ``max_batch`` items flushes immediately (size
   cutoff — returned straight from :meth:`offer`, no timer involved);
-- :meth:`due` pops every bucket whose deadline has passed (the driver
-  calls it when its timer fires at :meth:`next_deadline`);
+- :meth:`due` pops every bucket whose deadline has passed (a driver
+  with a timer calls it at :meth:`next_deadline`);
 - an offer that would push *total* queued items past ``queue_limit``
   is **rejected** — bounded memory under overload, the wire protocol's
   429-style ``rejected`` status (shedding beats unbounded latency) —
@@ -29,12 +29,13 @@ width, omega mode, fault map, states flag):
 
 Zero-wait semantics (``max_wait=0``): a bucket created at ``now`` has
 ``deadline == now``, and "due" means ``deadline <= now`` everywhere —
-:meth:`due` pops it the next time the driver ticks, and the driver's
-``delay = deadline - loop.time()`` comes out ``<= 0`` so it polls
-without sleeping.  :meth:`offer` still answers ``QUEUED`` (not
-``FLUSH``) for such a bucket: the flush happens on the next driver
-tick, which keeps the size cutoff the *only* reason ``offer`` itself
-returns a batch.
+:meth:`due` pops it the next time the driver ticks.  :meth:`offer`
+still answers ``QUEUED`` (not ``FLUSH``) for such a bucket: the flush
+happens on the next driver tick, which keeps the size cutoff the
+*only* reason ``offer`` itself returns a batch.  The daemon runs the
+queue in this mode and ticks at the end of every event-loop pass that
+queued a request, so every bucket leaves in the pass after its first
+item and needs no timer.
 """
 
 from __future__ import annotations

@@ -3,27 +3,38 @@
 One stdlib-asyncio TCP server accepts newline-delimited JSON requests
 (:mod:`repro.serve.protocol`) from many concurrent clients and feeds
 them through the :class:`~repro.serve.coalescer.CoalescingQueue`:
-compatible requests arriving within the latency window — across
+compatible requests read in the same event-loop tick — across
 connections — are dispatched as **one** ``(B, N)`` accel batch, so
 per-call Python overhead is paid once per batch instead of once per
 request (the same amortization :mod:`repro.accel` performs across
 batch lanes, lifted to the network edge).
 
+Dispatch is work-conserving, as in the paper's pipelined network
+(Section IV), which admits a vector every clock and never holds one
+back to wait for others.  The first queued request of a loop tick
+schedules one end-of-tick flush (``loop.call_soon``), which pops every
+bucket through :meth:`~repro.serve.coalescer.CoalescingQueue.due` (the
+queue runs in its zero-wait mode) and routes each batch inline on the
+event loop.  While a batch routes the loop reads nothing, so whatever
+arrives meanwhile forms the next batch: batches widen under load, and
+a lone request waits for no one.
+
 Dataflow per request::
 
-    accept ── readline ── decode ── offer ─┬─ FLUSH  ─┐
-                                           ├─ QUEUED ─┤ (timer fires)
-                                           │          ├─ to_thread ──
-                                           │          │  engine batch
-                                           │          └─ fan responses
+    accept ── readline ── decode ── offer ─┬─ FLUSH ───────┐ (size cutoff)
+                                           ├─ QUEUED ──────┤ (end of tick)
+                                           │               ├─ engine batch,
+                                           │               │  on the loop
+                                           │               └─ fan responses
                                            └─ REJECT ── "rejected"
 
 Engine dispatch goes through the engine seam
 (:func:`repro.accel.resolve_engine` — explicit config engine >
 ``BENES_ENGINE`` > auto) once per batch, and the resolved name is
-stamped on every response.  The blocking engine call runs in a worker
-thread (``asyncio.to_thread``) so the event loop keeps accepting while
-an engine routes.
+stamped on every response.  A batch whose engine call raises is routed
+again lane by lane, so only the lanes that fail on their own answer
+``status="error"``: one client's malformed request cannot fail the
+requests coalesced with it.
 
 Observability: when a trace sink is active the daemon opens one root
 ``serve.daemon`` span; every connection (``serve.connection``), request
@@ -31,8 +42,11 @@ Observability: when a trace sink is active the daemon opens one root
 it, so an entire serving session — socket accept through executor
 shard — reassembles into **one** trace tree
 (``tools/trace_tree.py --max-trees 1``).  Counters: ``serve.requests.
-<op>``, ``serve.batches``, ``serve.rejected``, ``serve.errors``,
-``serve.connections.opened/closed``; histogram ``serve.batch_size``.
+<op>``, ``serve.batches``, ``serve.flush.{size,tick,drain}`` (why each
+batch left the coalescer), ``serve.rejected``, ``serve.errors``,
+``serve.connections.opened/closed``; histograms ``serve.batch_size``
+and ``serve.batch.seconds`` (loop time per batch: engine plus response
+building).
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ import asyncio
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
+from time import perf_counter as _perf_counter
 from typing import Optional, Tuple
 
 from .. import obs as _obs
@@ -53,7 +68,7 @@ from ..accel.plans import cached_topology, stage_plan
 from ..accel.setup import batch_setup_states, setup_plan
 from ..accel._np import resolve_engine
 from ..core.bits import log2_exact
-from ..errors import ProtocolError, ReproError
+from ..errors import InvalidParameterError, ProtocolError, ReproError
 from ..obs import spans as _spans
 from . import protocol
 from .coalescer import FLUSH, REJECT, CoalescingQueue
@@ -84,9 +99,11 @@ class ServeConfig:
             the in-thread verification daemon use this).
         max_batch: coalescer size cutoff — also the widest batch an
             engine sees.
-        max_wait_us: coalescer latency cutoff in microseconds: the
-            most extra latency a lone request pays waiting for
-            companions.
+        max_wait_us: upper bound, in microseconds, on how long a
+            request waits in the coalescer for companions; must be
+            ``>= 0``.  The daemon flushes at the end of every
+            event-loop tick, which meets any bound, so the value only
+            documents the promise.
         queue_limit: total queued requests before backpressure
             rejects.
         engine: fixed execution engine for every batch, or ``None``
@@ -94,7 +111,8 @@ class ServeConfig:
             ``BENES_ENGINE`` > auto).
         parallel: passed through to the accel entry points — batches
             above the executor threshold shard across worker
-            processes.
+            processes.  The batch still runs on the event loop, which
+            reads nothing until the shards are back.
         warm_orders: stage/setup plan caches to populate before
             accepting traffic, so first requests do not pay the
             plan-build latency.
@@ -118,17 +136,21 @@ class RoutingDaemon:
     """
 
     def __init__(self, config: ServeConfig):
+        if config.max_wait_us < 0:
+            raise InvalidParameterError(
+                f"max_wait_us must be >= 0, got {config.max_wait_us}")
         self.config = config
+        # Zero-wait mode: every bucket is due at the end of the tick
+        # that queued it, which meets any max_wait_us bound.
         self._coalescer = CoalescingQueue(
             max_batch=config.max_batch,
-            max_wait=config.max_wait_us * 1e-6,
+            max_wait=0.0,
             queue_limit=config.queue_limit,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._root: Optional[_spans.Span] = None
         self._root_ids: Optional[Tuple[str, str]] = None
-        self._timer: Optional[asyncio.Task] = None
-        self._dispatches: set = set()
+        self._tick_armed = False
         self._request_tasks: set = set()
         self._conn_tasks: set = set()
         self._writers: set = set()
@@ -177,10 +199,7 @@ class RoutingDaemon:
         if self._server is not None:
             self._server.close()
         for _key, items in self._coalescer.drain():
-            self._spawn_dispatch(items)
-        while self._dispatches:
-            await asyncio.gather(*list(self._dispatches),
-                                 return_exceptions=True)
+            self._route(items, "drain")
         # Fast-path response callbacks were scheduled by the batch
         # futures resolving above; give the loop one pass to run them
         # before the writers close.
@@ -188,9 +207,6 @@ class RoutingDaemon:
         while self._request_tasks:
             await asyncio.gather(*list(self._request_tasks),
                                  return_exceptions=True)
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         for writer in list(self._writers):
             try:
                 writer.close()
@@ -385,10 +401,10 @@ class RoutingDaemon:
         """Offer a request to the coalescer; an immediate
         :class:`~repro.serve.protocol.RouteResponse` (rejection) or the
         future its batch will resolve."""
-        loop = asyncio.get_running_loop()
         if self._stopping:
             _obs.inc("serve.rejected")
             return protocol.rejected_response(request)
+        loop = asyncio.get_running_loop()
         future: "asyncio.Future" = loop.create_future()
         verdict, batch = self._coalescer.offer(
             request.coalesce_key(), (request, future), loop.time())
@@ -396,9 +412,12 @@ class RoutingDaemon:
             _obs.inc("serve.rejected")
             return protocol.rejected_response(request)
         if verdict == FLUSH:
-            self._spawn_dispatch(batch)
-        else:
-            self._arm_timer()
+            self._route(batch, "size")
+        elif not self._tick_armed:
+            # call_soon runs after every callback already queued, so
+            # each connection woken in this tick offers first.
+            self._tick_armed = True
+            loop.call_soon(self._flush_tick, loop)
         return future
 
     async def _submit(self, request: protocol.RouteRequest
@@ -408,44 +427,41 @@ class RoutingDaemon:
             return outcome
         return await outcome
 
-    def _arm_timer(self) -> None:
-        if self._timer is None or self._timer.done():
-            self._timer = asyncio.create_task(self._timer_loop())
+    def _flush_tick(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._tick_armed = False
+        for _key, items in self._coalescer.due(loop.time()):
+            self._route(items, "tick")
 
-    async def _timer_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            deadline = self._coalescer.next_deadline()
-            if deadline is None:
-                return
-            delay = deadline - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            for _key, items in self._coalescer.due(loop.time()):
-                self._spawn_dispatch(items)
+    def _route(self, items, why: str) -> None:
+        """Answer one batch that left the coalescer (``why``: ``size``,
+        ``tick`` or ``drain``), inline on the event loop."""
+        _obs.inc(f"serve.flush.{why}")
+        started = _perf_counter() if _obs.enabled() else None
+        self._answer(items)
+        if started is not None:
+            _obs.observe("serve.batch.seconds", _perf_counter() - started)
 
-    def _spawn_dispatch(self, items) -> None:
-        task = asyncio.create_task(self._dispatch(items))
-        self._dispatches.add(task)
-        task.add_done_callback(self._dispatches.discard)
-
-    async def _dispatch(self, items) -> None:
+    def _answer(self, items) -> None:
         requests = [request for request, _future in items]
         try:
-            responses = await asyncio.to_thread(self._run_batch,
-                                                requests)
+            responses = self._run_batch(requests)
         except Exception as exc:  # noqa: BLE001 - every lane must answer
+            if len(items) > 1:
+                # One malformed lane fails the whole engine call: route
+                # each lane alone, so that only the lanes that fail on
+                # their own answer an error.
+                for item in items:
+                    self._answer([item])
+                return
             _obs.inc("serve.errors")
-            message = f"{type(exc).__name__}: {exc}"
-            responses = [
-                protocol.error_response(request.op, request.id, message)
-                for request in requests
-            ]
+            (request,) = requests
+            responses = [protocol.error_response(
+                request.op, request.id, f"{type(exc).__name__}: {exc}")]
         for (_request, future), response in zip(items, responses):
             if not future.done():
                 future.set_result(response)
 
-    # -- engine dispatch (worker thread) -------------------------------
+    # -- engine dispatch (on the event loop) ---------------------------
 
     def _run_batch(self, requests) -> list:
         head = requests[0]

@@ -8,14 +8,17 @@ Three layers, three test strategies:
   clock (``now`` is just a float argument);
 - **daemon** — end-to-end over real sockets: concurrent clients,
   byte-identical parity against direct in-process engine calls on
-  every engine and op, backpressure rejection, over-long lines,
-  disconnects and shutdown with requests in flight, counters, and the
+  every engine and op, work-conserving dispatch (no wait for company,
+  arrivals during a batch form the next one), a malformed lane failing
+  alone, backpressure rejection, over-long lines, disconnects and
+  shutdown with requests in flight, counters, and the
   single-trace-tree invariant checked by ``tools/trace_tree.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import enum
 import json
 import pathlib
@@ -39,7 +42,11 @@ from repro.accel.setup import batch_setup_states
 from repro.core import BenesNetwork, Permutation, random_permutation
 from repro.core.fastpath import fast_self_route
 from repro.core.membership import in_class_f
-from repro.errors import ProtocolError, ServerBusyError
+from repro.errors import (
+    InvalidParameterError,
+    ProtocolError,
+    ServerBusyError,
+)
 from repro.serve import (
     CoalescingQueue,
     ServeClient,
@@ -65,6 +72,40 @@ def _daemon(**overrides):
                     warm_orders=(2, 3))
     defaults.update(overrides)
     return start_in_thread(ServeConfig(**defaults))
+
+
+def _line(op, row, request_id) -> bytes:
+    request = protocol.RouteRequest(op=op, tags=row, id=request_id)
+    return (protocol.encode_request(request) + "\n").encode("utf-8")
+
+
+@contextlib.contextmanager
+def _stub_server(answer):
+    """A one-connection stand-in for the daemon: every request line it
+    reads is answered with ``answer(request)``, or not at all when
+    ``answer`` is ``None``.  Yields ``(address, received)``; the bytes
+    read accumulate in ``received`` until the client hangs up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    received = bytearray()
+
+    def run():
+        conn, _peer = listener.accept()
+        with conn, conn.makefile("rb") as lines:
+            for line in lines:
+                received.extend(line)
+                if answer is not None:
+                    response = answer(protocol.decode_request(line))
+                    conn.sendall((protocol.encode_response(response)
+                                  + "\n").encode("utf-8"))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2], received
+    finally:
+        thread.join(timeout=30.0)
+        listener.close()
+    assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -436,26 +477,114 @@ class TestDaemon:
         assert statuses[1] == statuses[2] == "rejected"
 
     def test_client_route_raises_server_busy(self):
-        import time
+        # A shed request makes route() raise.  The server is a stub
+        # that sheds everything; the daemon's own shedding is
+        # test_backpressure_rejection_over_the_wire.
+        with _stub_server(protocol.rejected_response) as (address, _):
+            with ServeClient(*address) as client:
+                with pytest.raises(ServerBusyError):
+                    client.route((0, 1, 2, 3))
 
-        with _daemon(max_batch=64, max_wait_us=500_000.0,
-                     queue_limit=1) as handle:
-            host, port = handle.address
-            with ServeClient(host, port) as first, \
-                    ServeClient(host, port) as second:
-                # The blocker's request arrives first (the sleep
-                # guarantees it) and occupies the one queue slot for
-                # the full latency window; route_many reports its
-                # response without raising.
-                blocker = threading.Thread(
-                    target=first.route_many, args=([(3, 1, 2, 0)],))
-                blocker.start()
-                try:
-                    time.sleep(0.1)
-                    with pytest.raises(ServerBusyError):
-                        second.route((0, 1, 2, 3))
-                finally:
-                    blocker.join(timeout=30.0)
+    def test_request_many_refuses_repeated_ids(self):
+        # Responses are matched to requests by id, so a repeated id
+        # would hand both requests one answer: refuse the burst before
+        # any byte is sent.
+        requests = [protocol.RouteRequest(op="route", tags=row, id=7)
+                    for row in ((3, 1, 2, 0), (0, 1, 3, 2))]
+        with _stub_server(None) as (address, received):
+            with ServeClient(*address, timeout=5.0) as client:
+                with pytest.raises(InvalidParameterError,
+                                   match="request id 7 "):
+                    client.request_many(requests)
+        assert received == b""
+
+    @pytest.mark.parametrize("op, bad", [
+        ("route", (0, 1, 2, 9)),          # tag outside [0, N)
+        ("route", (0, 1, 2, 2 ** 70)),    # tag too wide for NumPy
+        ("membership", (0, 1, 2, -1)),    # tag outside [0, N)
+        ("packet", (1, 1, -1, -1)),       # duplicate destination
+        ("setup", (0, 0, 1, 2)),          # not a permutation
+    ])
+    def test_malformed_lane_fails_alone(self, op, bad):
+        """A batch that one malformed request fails is answered lane by
+        lane: every request gets the answer it gets when sent alone, so
+        the valid ones coalesced with it succeed, and ``serve.errors``
+        counts only the lanes that fail."""
+        obs.enable()
+        rows = [(3, -1, 2, -1) if op == "packet" else (3, 1, 2, 0), bad,
+                (0, 1, 2, 3)]
+        requests = [protocol.RouteRequest(op=op, tags=row, id=index + 1,
+                                          stage_states=op == "setup")
+                    for index, row in enumerate(rows)]
+        with _daemon() as handle:
+            with ServeClient(*handle.address) as client:
+                burst = client.request_many(requests)
+                errors = obs.snapshot()["counters"].get("serve.errors", 0)
+                alone = [client.request(request) for request in requests]
+        assert burst == alone
+        assert burst[0].status == burst[2].status == "ok"
+        assert errors == sum(r.status == "error" for r in burst)
+
+    def test_lone_request_does_not_wait_for_max_wait(self):
+        # max_wait_us is an upper bound that the end-of-tick flush
+        # always meets: a lone request is routed at once, not 10 s on.
+        with _daemon(max_wait_us=10_000_000.0) as handle:
+            with ServeClient(*handle.address, timeout=5.0) as client:
+                started = time.monotonic()
+                response = client.route((3, 1, 2, 0))
+                elapsed = time.monotonic() - started
+        assert response.status == "ok"
+        assert response.mapping == fast_self_route((3, 1, 2, 0))[1]
+        assert elapsed < 1.0
+
+    def test_requests_arriving_while_a_batch_routes_join_the_next(
+            self, monkeypatch):
+        """While a batch routes on the event loop the daemon reads
+        nothing, so requests that arrive meanwhile form the next batch,
+        however far apart they arrive."""
+        sizes, entered, release = [], threading.Event(), threading.Event()
+
+        def stalled(rows, **kwargs):
+            sizes.append(len(rows))
+            if len(sizes) == 1:
+                entered.set()
+                release.wait(timeout=30.0)
+            return batch_self_route(rows, **kwargs)
+
+        monkeypatch.setattr("repro.serve.daemon.batch_self_route",
+                            stalled)
+        rows = [(3, 1, 2, 0), (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                (0, 2, 1, 3)]
+        with _daemon() as handle, contextlib.ExitStack() as stack:
+            socks = [stack.enter_context(socket.create_connection(
+                handle.address, timeout=30.0)) for _ in rows]
+            readers = [stack.enter_context(sock.makefile("rb"))
+                       for sock in socks]
+            # One round trip per connection first, so the daemon has
+            # accepted every one of them before the stall.
+            for sock, reader in zip(socks, readers):
+                sock.sendall(_line("membership", rows[0], 0))
+                assert protocol.decode_response(
+                    reader.readline()).status == "ok"
+            try:
+                socks[0].sendall(_line("route", rows[0], 1))
+                assert entered.wait(timeout=30.0)
+                # Spaced wider than max_wait: a coalescer that flushed
+                # on its deadline would route each of these alone.
+                for index in range(1, len(rows)):
+                    socks[index].sendall(
+                        _line("route", rows[index], index + 1))
+                    time.sleep(0.05)
+            finally:
+                release.set()
+            responses = [protocol.decode_response(reader.readline())
+                         for reader in readers]
+        assert sizes == [1, len(rows) - 1]
+        for row, response in zip(rows, responses):
+            ok, dst = fast_self_route(row)
+            assert response.status == "ok"
+            assert response.success == ok
+            assert response.mapping == dst
 
     def test_error_response_for_bad_vector_width(self):
         with _daemon() as handle:
@@ -557,12 +686,21 @@ class TestDaemon:
             with ServeClient(host, port) as client:
                 client.route_many(rows)
                 client.membership_many(rows[:2])
-        snap = obs.snapshot()["counters"]
+        snapshot = obs.snapshot()
+        snap = snapshot["counters"]
         assert snap["serve.requests.route"] == 6
         assert snap["serve.requests.membership"] == 2
         assert snap["serve.batches"] >= 2
         assert snap["serve.connections.opened"] == 1
         assert snap["serve.connections.closed"] == 1
+        # The six routes fill max_batch; the two memberships leave at
+        # the end of their tick.  One loop-time sample per batch.
+        assert snap["serve.flush.size"] == 1
+        assert snap["serve.flush.tick"] == 1
+        assert "serve.flush.drain" not in snap
+        seconds = snapshot["histograms"]["serve.batch.seconds"]
+        assert seconds["count"] == snap["serve.batches"]
+        assert seconds["min"] > 0
 
     def test_single_trace_tree(self, tmp_path, rng):
         """One serving session - one valid trace tree: every
@@ -605,9 +743,11 @@ class TestDaemonLifecycle:
         assert obs.snapshot()["counters"]["serve.errors"] == 1
 
     def test_stop_answers_queued_requests(self):
-        # Requests still waiting in the coalescer at shutdown are
-        # flushed through the engine and answered before the
-        # connection closes - well inside their 10 s latency window.
+        # Requests still queued in the coalescer when stop() begins are
+        # flushed through the engine and answered.  They are offered on
+        # the loop and stop() starts before the end-of-tick flush can
+        # run, so they are still queued when it does.
+        obs.enable()
         rows = [(3, 1, 2, 0), (0, 1, 2, 3), (1, 0, 3, 2)]
         requests = [protocol.RouteRequest(op="route", tags=row,
                                           id=index + 1)
@@ -618,31 +758,37 @@ class TestDaemonLifecycle:
                 port=0, max_batch=64, max_wait_us=10_000_000.0,
                 warm_orders=(2,)))
             await daemon.start()
+            # A connection the daemon is serving, to see it closed.
             reader, writer = await asyncio.open_connection(
                 *daemon.address)
-            writer.write("".join(protocol.encode_request(request) + "\n"
-                                 for request in requests).encode("utf-8"))
-            await writer.drain()
-            while daemon._coalescer.pending < len(requests):
-                await asyncio.sleep(0.01)
+            writer.write(_line("route", rows[0], 0))
+            await reader.readline()
+            futures = [daemon._submit_nowait(request)
+                       for request in requests]
+            assert daemon._coalescer.pending == len(requests)
             started = time.monotonic()
             await daemon.stop()
             stop_seconds = time.monotonic() - started
-            lines = [await reader.readline() for _ in requests]
             rest = await reader.read()
             writer.close()
-            return stop_seconds, lines, rest
+            return (stop_seconds, [future.result() for future in futures],
+                    rest)
 
-        stop_seconds, lines, rest = asyncio.run(
+        stop_seconds, responses, rest = asyncio.run(
             asyncio.wait_for(scenario(), timeout=30.0))
         assert stop_seconds < 5.0
-        responses = [protocol.decode_response(line) for line in lines]
-        assert sorted(response.id for response in responses) == [1, 2, 3]
+        assert [response.id for response in responses] == [1, 2, 3]
         assert all(response.status == "ok" for response in responses)
-        for response in responses:
-            assert response.mapping == fast_self_route(
-                rows[response.id - 1])[1]
+        for response, row in zip(responses, rows):
+            assert response.mapping == fast_self_route(row)[1]
+        assert obs.snapshot()["counters"]["serve.flush.drain"] == 1
         assert rest == b""  # then the daemon closed the connection
+
+    def test_negative_max_wait_rejected(self):
+        # The queue runs with no wait, so the daemon checks the bound
+        # it still accepts itself.
+        with pytest.raises(InvalidParameterError, match="max_wait_us"):
+            RoutingDaemon(ServeConfig(port=0, max_wait_us=-1.0))
 
     def test_start_raises_on_bad_engine(self):
         with pytest.raises(Exception):
