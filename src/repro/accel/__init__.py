@@ -61,7 +61,6 @@ __all__ = [
     "composed_setup_states",
     "composed_stats",
     "composed_stats_clear",
-    "executor_shutdown",
     "have_numpy",
     "iter_composed_states",
     "numpy_or_none",
@@ -116,7 +115,6 @@ _EXPORTS = {
     "composed_setup_states": "composed",
     "composed_stats": "composed",
     "composed_stats_clear": "composed",
-    "executor_shutdown": "executor",
     "have_numpy": "_np",
     "iter_composed_states": "composed",
     "numpy_or_none": "_np",

@@ -122,9 +122,23 @@ def _int64_rows(np, rows):
     return np.asarray(rows, dtype=np.int64)
 
 
+def _tag_range_error(n) -> InvalidParameterError:
+    """The error every kernel raises for a tag outside ``[0, n)``."""
+    return InvalidParameterError(
+        f"destination tags must lie in [0, {n}) — out-of-range values "
+        "cannot address any output"
+    )
+
+
 def _as_tag_array(np, tags_batch):
-    """Validate a batch of tag vectors as a ``(B, N)`` int64 array."""
-    arr = _int64_rows(np, tags_batch)
+    """Validate a batch of tag vectors as a ``(B, N)`` int64 array.  A
+    tag too wide for int64 is out of range too, so the conversion's
+    ``OverflowError`` becomes the range error."""
+    try:
+        arr = _int64_rows(np, tags_batch)
+    except OverflowError:
+        raise _tag_range_error(_batch_dims(tags_batch)[1] or "N") \
+            from None
     if arr.ndim != 2:
         raise SizeMismatchError(
             f"expected a (B, N) batch of tag vectors, got shape "
@@ -132,10 +146,7 @@ def _as_tag_array(np, tags_batch):
         )
     n = arr.shape[1]
     if arr.size and ((arr < 0) | (arr >= n)).any():
-        raise InvalidParameterError(
-            f"destination tags must lie in [0, {n}) — out-of-range "
-            "values cannot address any output"
-        )
+        raise _tag_range_error(n)
     return arr
 
 
@@ -505,8 +516,7 @@ def dispatch(op: str, rows, *, engine=None, parallel=False, **options):
         if engine != "composed" and _executor.wants_shards(parallel,
                                                            batch):
             result = _executor.dispatch(op, rows, parallel=parallel,
-                                        order_hint=order, engine=engine,
-                                        **options)
+                                        engine=engine, **options)
             scope = "call"
         else:
             if engine == "composed":
@@ -561,10 +571,10 @@ def batch_self_route(tags_batch, *, omega_mode=False, stage_data=False,
             *every* instance of the batch (one fault configuration,
             many workloads: the shape of a fault campaign).  Stuck
             states override both the tag rule and the omega forcing.
-        parallel: shard the batch across worker processes above the
-            executor threshold (see :mod:`repro.accel.executor`);
-            ``True`` resolves to ``os.cpu_count()`` workers, an int is
-            an explicit worker count.  Results are identical for any
+        parallel: shard the batch across threads above the executor
+            threshold (see :mod:`repro.accel.executor`); ``True``
+            resolves to one worker per usable CPU, an int is an
+            explicit worker count.  Results are identical for any
             value.
         engine: ``"scalar"``, ``"numpy"``, ``"bitslice"``,
             ``"composed"`` or ``"auto"`` (default: auto, overridable
@@ -602,8 +612,8 @@ def batch_in_class_f(perms_batch, *, parallel=False, engine=None,
 
     Cheaper than :func:`batch_self_route`: no source tracking.  Returns
     a ``(B,)`` bool array, or a list of bools on the pure-Python
-    engines.  ``parallel=`` shards large batches across worker
-    processes with identical results; ``engine=`` selects the
+    engines.  ``parallel=`` shards large batches across threads with
+    identical results; ``engine=`` selects the
     execution engine exactly as in :func:`batch_self_route`.
     Unsupported engine options (``stuck_switches``
     and friends — fault campaigns read :func:`batch_self_route`'s
@@ -629,8 +639,8 @@ def batch_route_with_states(states_batch, order: int, *,
         stage_data: also expose the per-stage crossed-switch counts in
             the result's ``per_stage`` field (numpy and bitslice
             engines).
-        parallel: shard the batch across worker processes above the
-            executor threshold; results identical for any value.
+        parallel: shard the batch across threads above the executor
+            threshold; results identical for any value.
         engine: execution engine, exactly as in
             :func:`batch_self_route`.
 

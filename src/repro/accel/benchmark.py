@@ -77,7 +77,7 @@ def measure_cell(order: int, batch_size: int, rng: random.Random,
             fast_self_route(row)
         best_scalar = min(best_scalar, time.perf_counter() - t0)
 
-    # warm the plan cache (and, in parallel mode, the pool) untimed
+    # warm the plan cache untimed
     batch_self_route(tags[:2], parallel=parallel, engine=resolved)
     best_batch = float("inf")
     for _ in range(repeats):
@@ -187,7 +187,7 @@ def measure_setup_cell(order: int, batch_size: int, rng: random.Random,
         scalar_fn(perms[:scalar_items], order=order)
         best_scalar = min(best_scalar, time.perf_counter() - t0)
 
-    # warm caches / pool untimed
+    # warm caches untimed
     batch_fn(order, perms[:2], parallel=parallel, engine=resolved)
     best_batch = float("inf")
     for _ in range(repeats):
@@ -223,7 +223,7 @@ def run_setup_benchmark(orders: Sequence[int] = DEFAULT_SETUP_ORDERS,
     """Sweep the universal-setup grid (looping setup and two-pass
     factorization, scalar vs batch); with ``include_parallel`` an extra
     executor cell is timed at the largest batch size of the largest
-    order, so BENCH_setup.json records both single-process and sharded
+    order, so BENCH_setup.json records both inline and sharded
     throughput on the same machine.  ``engine`` pins every cell to one
     engine (setup-kind resolution semantics)."""
     import os
@@ -347,7 +347,7 @@ def measure_scaling_cell(order: int, mode: str, *, seed: int = 2026,
         def run():
             batch_setup_states(order, [perm], engine="composed",
                                parallel=True)
-    run()  # warm plan caches (and the pool in composed mode) untimed
+    run()  # warm plan caches untimed
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -492,7 +492,7 @@ def best_speedup(report: Dict, min_order: int = 0,
                  engine: Optional[str] = None) -> Optional[float]:
     """Largest measured speedup among cells meeting the floor (used by
     benchmark assertions); ``parallel=None`` matches both modes, the
-    default ``False`` keeps executor cells out of single-process
+    default ``False`` keeps executor cells out of inline
     guards (older reports without the key count as non-parallel), and
     ``engine=None`` matches every engine column."""
     eligible = [

@@ -23,7 +23,7 @@ state tensor at once:
   (:func:`repro.accel.batch_self_route` /
   :func:`repro.accel.batch_setup_states`) as one more ``(B', 2^r)``
   batch, in bounded **chunks** of blocks, optionally sharded across
-  the spawn-pool executor via ``parallel=``;
+  the executor's threads via ``parallel=``;
 - **streaming state** — :func:`iter_composed_states` yields finished
   switch columns and per-block state chunks as they are produced, so
   peak memory stays ``O(N / blocks * log N)`` per chunk plus ``O(N)``

@@ -38,6 +38,7 @@ and records the ``accel.*`` metrics around the kernel call.
 
 from __future__ import annotations
 
+from ..core.bits import log2_exact
 from ..core.fastpath import (
     fast_route_with_states,
     fast_self_route,
@@ -52,14 +53,26 @@ __all__ = ["ENGINES", "KERNELS", "scalar_in_class_f",
            "scalar_setup_states", "scalar_two_pass"]
 
 
+def _check_tag_range(tags) -> None:
+    """Reject a row holding a tag outside ``[0, N)`` with the range
+    error of the other kernels (``fast_self_route`` itself answers
+    such a row with a failure, ``in_class_f`` with
+    ``InvalidPermutationError``)."""
+    n = len(tags)
+    if n and not (0 <= min(tags) and max(tags) < n):
+        raise batch._tag_range_error(n)
+
+
 def scalar_self_route(tags_batch, *, omega_mode=False, stage_data=False,
                       stage_states=False, stuck_switches=None,
                       _stage_totals=None) -> BatchRouteResult:
-    """``[fast_self_route(t) for t in tags_batch]`` as a batch result.
-    The loop keeps no per-stage tallies, so ``per_stage`` stays
-    ``None`` and the metrics tap is left empty."""
+    """``[fast_self_route(t) for t in tags_batch]`` as a batch result,
+    with the batch kernels' tag range check.  The loop keeps no
+    per-stage tallies, so ``per_stage`` stays ``None`` and the metrics
+    tap is left empty."""
     successes, delivered, states = [], [], []
     for tags in tags_batch:
+        _check_tag_range(tags)
         if stage_states:
             ok, dst, st = fast_self_route_states(
                 tags, omega_mode=omega_mode,
@@ -76,10 +89,17 @@ def scalar_self_route(tags_batch, *, omega_mode=False, stage_data=False,
 
 def scalar_in_class_f(perms_batch) -> list:
     """Theorem-1 verdicts; the recursion exits on the first conflict,
-    so it beats a full scalar routing pass."""
+    so it beats a full scalar routing pass.  A row of in-range tags
+    with a repeat is no permutation and no routing delivers it, so it
+    answers ``False``, as the routing kernels do."""
     from ..core.membership import in_class_f
 
-    return [in_class_f(perm) for perm in perms_batch]
+    verdicts = []
+    for perm in perms_batch:
+        _check_tag_range(perm)
+        log2_exact(len(perm))  # the width error precedes the repeat test
+        verdicts.append(len(set(perm)) == len(perm) and in_class_f(perm))
+    return verdicts
 
 
 def scalar_route_with_states(states_batch, *, order: int,

@@ -345,9 +345,9 @@ def batch_setup_states(order: int, perms, *, parallel=False,
     Args:
         perms: ``(B, N)`` array-like; every row must be a permutation
             and ``B >= 1``.
-        parallel: shard the batch across worker processes above the
-            executor threshold (``True`` for ``os.cpu_count()`` workers,
-            an int for an explicit worker count).
+        parallel: shard the batch across threads above the executor
+            threshold (``True`` for one worker per usable CPU, an int
+            for an explicit worker count).
         engine: execution engine as in
             :func:`repro.accel.batch_self_route`.  The looping side
             assignment has no bit-sliced formulation, so

@@ -70,7 +70,7 @@ def estimate_class_f_density(order: int, samples: int,
     vectorized engine of :mod:`repro.accel` — the hot path of large
     density sweeps.  ``parallel`` forwards to the shard executor
     (:mod:`repro.accel.executor`), splitting blocks above its threshold
-    across worker processes.  Falls back to the scalar Theorem 1
+    across threads.  Falls back to the scalar Theorem 1
     recursion when NumPy is absent, with identical results.
     """
     rng = rng if rng is not None else _random.Random()

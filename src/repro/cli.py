@@ -741,8 +741,8 @@ def _shared_engine_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--parallel", action="store_true",
         help="shard batches above the executor threshold across "
-             "worker processes (commands without batched work accept "
-             "and ignore this)")
+             "threads (commands without batched work accept and "
+             "ignore this)")
     group.add_argument(
         "--seed", type=int, default=None,
         help="deterministic workload seed (each command supplies its "

@@ -38,7 +38,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     DEFAULT_TIME_BOUNDS,
-    DELTA_SCHEMA_VERSION,
     POW2_BOUNDS,
 )
 from .spans import (
@@ -59,7 +58,6 @@ __all__ = [
     "SpanContext",
     "TraceEmitter",
     "DEFAULT_TIME_BOUNDS",
-    "DELTA_SCHEMA_VERSION",
     "POW2_BOUNDS",
     "TRACE_SCHEMA_VERSION",
     "current_span",
@@ -67,19 +65,16 @@ __all__ = [
     "disable",
     "enabled",
     "inc",
-    "merge",
     "set_gauge",
     "observe",
     "registry",
     "reset",
     "snapshot",
-    "snapshot_delta",
     "span",
     "start_span",
     "trace_active",
     "trace_event",
     "trace_off",
-    "trace_path",
     "trace_to",
 ]
 
@@ -131,21 +126,6 @@ def snapshot() -> dict:
     return snap
 
 
-def snapshot_delta() -> dict:
-    """The registry's change since the previous ``snapshot_delta``
-    call, in the mergeable wire form of
-    :meth:`~repro.obs.registry.MetricsRegistry.snapshot_delta` —
-    what an executor worker ships back with each shard result."""
-    return _REGISTRY.snapshot_delta()
-
-
-def merge(delta: dict) -> None:
-    """Fold another process's :func:`snapshot_delta` into this
-    process's registry (counter-sum / gauge-last-write /
-    histogram-bucket-add)."""
-    _REGISTRY.merge(delta)
-
-
 # ----------------------------------------------------------------------
 # Push helpers — each is a no-op unless metrics are enabled, so call
 # sites stay single-line.
@@ -189,12 +169,6 @@ def trace_off() -> None:
 def trace_active() -> bool:
     """True when routing should emit trace events."""
     return _TRACER.active
-
-
-def trace_path() -> Optional[str]:
-    """The trace sink's filesystem path when it has one (shippable to
-    executor workers, which append to the same file), else ``None``."""
-    return _TRACER.path
 
 
 def trace_event(event: str, **fields) -> None:

@@ -16,15 +16,9 @@ snapshot.  Pull-style sources (the accel LRU caches, which already
 track their own hits/misses) register a *provider* callable instead of
 pushing on every access; providers are invoked only at snapshot time.
 
-Registries are **mergeable across processes**: every instrument can
-emit a *delta* — the change since its previous delta — in a
-JSON-picklable wire form, and :meth:`MetricsRegistry.merge` folds such
-a delta into another registry with counter-sum, gauge-last-write and
-histogram-bucket-add semantics.  The shard executor ships each spawn
-worker's delta back alongside its shard result, so the parent's
-snapshot reflects executor-wide truth (see
-:mod:`repro.accel.executor`).  Providers are pull-style and per-process
-by design; they never travel in a delta.
+One registry serves the whole process: the shard executor runs its
+shards on threads (:mod:`repro.accel.executor`), so they count into
+the same instruments as the dispatching call.
 
 The registry itself is always live — the near-zero-overhead no-op
 behaviour of the disabled state is implemented one layer up, in
@@ -46,12 +40,7 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_TIME_BOUNDS",
     "POW2_BOUNDS",
-    "DELTA_SCHEMA_VERSION",
 ]
-
-#: Version tag carried by every registry delta (bumped whenever the
-#: wire form of :meth:`MetricsRegistry.snapshot_delta` changes).
-DELTA_SCHEMA_VERSION = 1
 
 #: Default histogram bucket upper bounds for wall-clock seconds:
 #: geometric 1µs .. 10s (routing a vector takes µs-ms; a huge batch
@@ -69,12 +58,11 @@ POW2_BOUNDS: Tuple[float, ...] = tuple(float(1 << k) for k in range(21))
 class Counter:
     """A named, thread-safe, monotonically increasing tally."""
 
-    __slots__ = ("name", "_value", "_shipped", "_lock")
+    __slots__ = ("name", "_value", "_lock")
 
     def __init__(self, name: str):
         self.name = name
         self._value = 0
-        self._shipped = 0
         self._lock = threading.Lock()
 
     @property
@@ -91,29 +79,19 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def delta(self) -> int:
-        """Increment since the previous :meth:`delta` call (and mark
-        it shipped)."""
-        with self._lock:
-            change = self._value - self._shipped
-            self._shipped = self._value
-            return change
-
     def reset(self) -> None:
         with self._lock:
             self._value = 0
-            self._shipped = 0
 
 
 class Gauge:
     """A named, thread-safe, last-write-wins level."""
 
-    __slots__ = ("name", "_value", "_dirty", "_lock")
+    __slots__ = ("name", "_value", "_lock")
 
     def __init__(self, name: str):
         self.name = name
         self._value = 0.0
-        self._dirty = False
         self._lock = threading.Lock()
 
     @property
@@ -124,21 +102,10 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
-            self._dirty = True
-
-    def delta(self) -> Optional[float]:
-        """The current value if it was written since the previous
-        :meth:`delta` call, else ``None`` (nothing to ship)."""
-        with self._lock:
-            if not self._dirty:
-                return None
-            self._dirty = False
-            return self._value
 
     def reset(self) -> None:
         with self._lock:
             self._value = 0.0
-            self._dirty = False
 
 
 class Histogram:
@@ -151,8 +118,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "bounds", "_bucket_counts", "_count", "_sum",
-                 "_min", "_max", "_shipped_buckets", "_shipped_count",
-                 "_shipped_sum", "_win_min", "_win_max", "_lock")
+                 "_min", "_max", "_lock")
 
     def __init__(self, name: str,
                  bounds: Optional[Sequence[float]] = None):
@@ -170,13 +136,6 @@ class Histogram:
         self._sum = 0.0
         self._min = float("inf")
         self._max = float("-inf")
-        # delta bookkeeping: what the previous delta() already shipped,
-        # plus min/max of the current (unshipped) window.
-        self._shipped_buckets = [0] * (len(bounds) + 1)
-        self._shipped_count = 0
-        self._shipped_sum = 0.0
-        self._win_min = float("inf")
-        self._win_max = float("-inf")
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -195,10 +154,6 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if value < self._win_min:
-                self._win_min = value
-            if value > self._win_max:
-                self._win_max = value
 
     @property
     def count(self) -> int:
@@ -226,57 +181,6 @@ class Histogram:
                 "buckets": buckets,
             }
 
-    def delta(self) -> Optional[Dict]:
-        """Observations since the previous :meth:`delta` call in wire
-        form (``None`` when the window is empty): raw per-bucket counts
-        (including overflow), count/sum, and the window's min/max, plus
-        the bounds so a receiver can build a matching instrument."""
-        with self._lock:
-            count = self._count - self._shipped_count
-            if not count:
-                return None
-            change = {
-                "bounds": list(self.bounds),
-                "bucket_counts": [
-                    now - shipped
-                    for now, shipped in zip(self._bucket_counts,
-                                            self._shipped_buckets)
-                ],
-                "count": count,
-                "sum": self._sum - self._shipped_sum,
-                "min": self._win_min,
-                "max": self._win_max,
-            }
-            self._shipped_buckets = list(self._bucket_counts)
-            self._shipped_count = self._count
-            self._shipped_sum = self._sum
-            self._win_min = float("inf")
-            self._win_max = float("-inf")
-            return change
-
-    def merge_delta(self, change: Dict) -> None:
-        """Fold another histogram's delta (bucket-add semantics); the
-        bucket bounds must match."""
-        bounds = tuple(change.get("bounds", ()))
-        if bounds != self.bounds:
-            raise InvalidParameterError(
-                f"histogram {self.name!r}: cannot merge a delta with "
-                f"bounds {bounds} into bounds {self.bounds}"
-            )
-        with self._lock:
-            for i, n in enumerate(change["bucket_counts"]):
-                self._bucket_counts[i] += n
-            self._count += change["count"]
-            self._sum += change["sum"]
-            if change["min"] < self._min:
-                self._min = change["min"]
-            if change["max"] > self._max:
-                self._max = change["max"]
-            if change["min"] < self._win_min:
-                self._win_min = change["min"]
-            if change["max"] > self._win_max:
-                self._win_max = change["max"]
-
     def reset(self) -> None:
         with self._lock:
             self._bucket_counts = [0] * (len(self.bounds) + 1)
@@ -284,11 +188,6 @@ class Histogram:
             self._sum = 0.0
             self._min = float("inf")
             self._max = float("-inf")
-            self._shipped_buckets = [0] * (len(self.bounds) + 1)
-            self._shipped_count = 0
-            self._shipped_sum = 0.0
-            self._win_min = float("inf")
-            self._win_max = float("-inf")
 
 
 class MetricsRegistry:
@@ -372,56 +271,6 @@ class MetricsRegistry:
                 for name, provider in sorted(providers.items())
             }
         return snap
-
-    def snapshot_delta(self) -> Dict:
-        """The registry's change since the previous ``snapshot_delta``
-        call, in a JSON-picklable wire form suitable for
-        :meth:`merge` on another process's registry.
-
-        Counters ship their increment, gauges their value (only when
-        written since the last delta), histograms their raw bucket
-        increments plus window min/max.  Instruments with nothing new
-        are omitted, so an idle registry's delta is empty.  Providers
-        are per-process pulls and never travel.
-        """
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        delta: Dict = {"v": DELTA_SCHEMA_VERSION,
-                       "counters": {}, "gauges": {}, "histograms": {}}
-        for name, counter in counters.items():
-            change = counter.delta()
-            if change:
-                delta["counters"][name] = change
-        for name, gauge in gauges.items():
-            change = gauge.delta()
-            if change is not None:
-                delta["gauges"][name] = change
-        for name, histogram in histograms.items():
-            change = histogram.delta()
-            if change is not None:
-                delta["histograms"][name] = change
-        return delta
-
-    def merge(self, delta: Dict) -> None:
-        """Fold a :meth:`snapshot_delta` wire form into this registry:
-        counters sum, gauges take the shipped last write, histogram
-        buckets add.  Instruments missing here are created on the fly
-        (histograms adopt the delta's bounds), so a fresh parent
-        registry absorbs any worker's delta."""
-        if delta.get("v") != DELTA_SCHEMA_VERSION:
-            raise InvalidParameterError(
-                f"cannot merge a registry delta with schema version "
-                f"{delta.get('v')!r} (expected {DELTA_SCHEMA_VERSION})"
-            )
-        for name, amount in delta.get("counters", {}).items():
-            self.counter(name).inc(amount)
-        for name, value in delta.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, change in delta.get("histograms", {}).items():
-            self.histogram(name, change.get("bounds")) \
-                .merge_delta(change)
 
     def reset(self) -> None:
         """Zero every instrument (providers are pull-style and keep

@@ -1,7 +1,7 @@
 """Causally-linked **spans** over the JSON-lines trace stream.
 
 A span is one timed unit of routing work — a batch route, a planner
-pass, an executor dispatch, one shard inside a worker process — emitted
+pass, an executor dispatch, one shard on an executor thread — emitted
 as a single ``span`` trace event when it finishes::
 
     {"ev": "span", "name": "executor.shard", "trace_id": "…",
@@ -11,12 +11,11 @@ Spans nest through a :mod:`contextvars` variable: a span opened while
 another is active becomes its child (same ``trace_id``, ``parent_id`` =
 the enclosing ``span_id``), so ``route -> plan -> shard[i] ->
 setup/transit`` reassembles into one tree from the flat stream
-(``tools/trace_tree.py`` pretty-prints it).  The shard executor carries
-``(trace_id, span_id)`` into worker processes inside the task payload
-and re-roots the worker's spans under the dispatch span with
-:func:`adopt`, so per-shard events written from many processes — one
-atomic appended line each, see :mod:`repro.obs.trace` — interleave
-safely and still stitch back together.
+(``tools/trace_tree.py`` pretty-prints it).  A thread does not inherit
+the context variable, so the shard executor hands each shard thread the
+dispatch span's ``(trace_id, span_id)`` and re-roots the shard's spans
+under it with :func:`adopt`; events written from many threads still
+stitch back into the one tree.
 
 Everything here is inert while no trace sink is configured:
 :func:`start_span` returns ``None`` and the :func:`span` context
@@ -70,8 +69,8 @@ _CURRENT: "contextvars.ContextVar[Optional[SpanContext]]" = \
 
 
 def new_id() -> str:
-    """A fresh 64-bit hex identifier (collision-safe across the
-    executor's worker processes, unlike a per-process counter)."""
+    """A fresh 64-bit hex identifier (collision-safe across processes
+    that share one trace file, unlike a per-process counter)."""
     return os.urandom(8).hex()
 
 
@@ -180,10 +179,10 @@ def spanned(name: str):
 
 @contextmanager
 def adopt(trace_id: str, span_id: str):
-    """Install a *remote* parent context — used by executor workers to
-    re-root their spans under the dispatching process's span.  Children
-    opened inside the block carry ``trace_id`` and parent ``span_id``
-    exactly as if the dispatch span were local."""
+    """Install a parent context by its identifiers — used by executor
+    shard threads to re-root their spans under the dispatching thread's
+    span.  Children opened inside the block carry ``trace_id`` and
+    parent ``span_id`` exactly as if the dispatch span were local."""
     token = _CURRENT.set(SpanContext(trace_id, span_id, None))
     try:
         yield

@@ -22,11 +22,12 @@ additionally stamped with its ``trace_id``/``span_id``.
 **Multi-process safety.**  A path sink is opened with ``O_APPEND`` and
 every record is serialized to one buffer written by a single
 ``os.write`` call — on POSIX, appends of a whole buffer to a regular
-file do not interleave mid-line, so the shard executor's worker
-processes may share one trace file and every line still parses as
-JSON.  File-object sinks get the same one-``write``-per-record
-discipline plus an immediate flush, so a crashed process loses at most
-the record being written.
+file do not interleave mid-line, so several processes given the same
+``BENES_TRACE`` path may share one trace file and every line still
+parses as JSON.  Threads of one process (the shard executor's shards)
+serialize through the emitter's lock.  File-object sinks get the same
+one-``write``-per-record discipline plus an immediate flush, so a
+crashed process loses at most the record being written.
 
 The emitter is inert until :func:`repro.obs.trace_to` (or
 ``repro.obs.enable(trace=...)`` / ``BENES_TRACE=<path>``) configures a
@@ -56,21 +57,12 @@ class TraceEmitter:
         self._lock = threading.Lock()
         self._sink: Optional[IO[str]] = None
         self._fd: Optional[int] = None
-        self._path: Optional[str] = None
         self._seq = 0
 
     @property
     def active(self) -> bool:
         """True when a sink is configured and events will be written."""
         return self._sink is not None or self._fd is not None
-
-    @property
-    def path(self) -> Optional[str]:
-        """The sink's filesystem path when configured with one —
-        shippable to worker processes so they append to the same file —
-        else ``None`` (opaque file-object sinks cannot cross a process
-        boundary)."""
-        return self._path
 
     def configure(self, sink: Union[str, IO[str], None]) -> None:
         """Direct events to ``sink`` — a path (opened ``O_APPEND`` for
@@ -81,12 +73,10 @@ class TraceEmitter:
                 os.close(self._fd)
             self._sink = None
             self._fd = None
-            self._path = None
             if isinstance(sink, str):
                 self._fd = os.open(
                     sink, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
                 )
-                self._path = sink
             else:
                 self._sink = sink
 
@@ -122,8 +112,8 @@ class TraceEmitter:
                               default=_jsonable) + "\n"
             if self._fd is not None:
                 # One write() of the whole line to an O_APPEND fd:
-                # atomic on POSIX regular files, so concurrent worker
-                # processes never interleave mid-line.
+                # atomic on POSIX regular files, so processes sharing
+                # the file never interleave mid-line.
                 os.write(self._fd, line.encode("utf-8"))
             else:
                 self._sink.write(line)

@@ -110,9 +110,9 @@ class ServeConfig:
             for per-batch auto resolution (precedence: explicit >
             ``BENES_ENGINE`` > auto).
         parallel: passed through to the accel entry points — batches
-            above the executor threshold shard across worker
-            processes.  The batch still runs on the event loop, which
-            reads nothing until the shards are back.
+            above the executor threshold shard across threads.  The
+            batch still runs on the event loop, which reads nothing
+            until the shards are back.
         warm_orders: stage/setup plan caches to populate before
             accepting traffic, so first requests do not pay the
             plan-build latency.

@@ -177,7 +177,7 @@ def check_selfroute(rows: Sequence[Row], order: int, *,
     of them against the oracle (first engine in the mapping).
 
     ``engines`` overrides the engine set — the self-test injects a
-    mutant here; tests can drop the spawn-pool ``sharded`` entry."""
+    mutant here; tests can drop the threaded ``sharded`` entry."""
     table = engines if engines is not None else SELF_ROUTE_ENGINES
     options = {"omega_mode": omega_mode,
                "stuck_switches": stuck_switches}

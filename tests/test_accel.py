@@ -335,8 +335,6 @@ class TestListConversion:
     @pytest.mark.parametrize("rows", [[[0, 1, 2, 4]], [(0, -1, 2, 3)],
                                       [[0, 1], [2, 1]]])
     def test_out_of_range_tags_rejected(self, rows):
-        if not have_numpy():
-            pytest.skip("range validation is the NumPy path's")
         with pytest.raises(InvalidParameterError, match=r"\[0, \d+\)"):
             batch_self_route(rows)
 

@@ -11,14 +11,19 @@ Parity strategy (mirrors ``tests/test_accel.py``):
 - the two-pass factorization against the scalar decomposition, and the
   fully-routed composition against the input permutation;
 - every entry point re-tested on the pure-Python fallback path;
-- executor determinism: sharded results (process pool *and* thread
+- executor determinism: sharded results (NumPy *and* the no-NumPy
   fallback, any worker count) are identical to the inline call.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +38,6 @@ from repro.accel import (
     batch_two_pass,
     cache_clear,
     cache_stats,
-    executor_shutdown,
     have_numpy,
     setup_plan,
     setup_plan_cache,
@@ -211,6 +215,20 @@ class TestShardExecutor:
         with pytest.raises(InvalidParameterError):
             _executor.resolve_workers(0)
 
+    def test_parallel_true_counts_usable_cpus(self, low_threshold,
+                                              monkeypatch, rng):
+        """A process pinned to one CPU resolves ``parallel=True`` to
+        one worker, so the batch runs inline."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert _executor.resolve_workers(True) == 1
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("one usable CPU must not shard")
+
+        monkeypatch.setattr(_executor, "dispatch", boom)
+        batch_setup_states(3, _random_perms(3, rng, 8), parallel=True)
+
     def test_wants_shards_threshold(self, low_threshold):
         assert not _executor.wants_shards(False, 10 ** 6)
         assert not _executor.wants_shards(2, 3)   # below threshold
@@ -226,36 +244,50 @@ class TestShardExecutor:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_process_determinism(self, low_threshold, workers, rng):
-        """Sharded results are identical to inline for every entry
-        point and any worker count (explicit ints exercise the process
-        pool even on single-core machines)."""
+        """Sharded processing with NumPy is identical to inline for
+        every entry point and any worker count (explicit ints shard
+        even on single-core machines)."""
         if not have_numpy():
-            pytest.skip("process path needs NumPy")
+            pytest.skip("NumPy absent")
         np = _np_mod.numpy_or_none()
         order = 4
         perms = _random_perms(order, rng, 16)
-        try:
-            inline = batch_setup_states(order, perms)
-            sharded = batch_setup_states(order, perms, parallel=workers)
-            assert np.array_equal(inline, sharded)
-            f_inline, s_inline = batch_two_pass(order, perms)
-            f_shard, s_shard = batch_two_pass(order, perms,
-                                              parallel=workers)
-            assert np.array_equal(f_inline, f_shard)
-            assert np.array_equal(s_inline, s_shard)
-            r_inline = batch_route_two_pass(order, perms)
-            r_shard = batch_route_two_pass(order, perms,
-                                           parallel=workers)
-            assert np.array_equal(r_inline.mappings, r_shard.mappings)
-            assert np.array_equal(np.asarray(r_inline.success_mask),
-                                  np.asarray(r_shard.success_mask))
-            b_inline = batch_self_route(perms, stage_data=True)
-            b_shard = batch_self_route(perms, stage_data=True,
-                                       parallel=workers)
-            assert np.array_equal(b_inline.mappings, b_shard.mappings)
-            assert np.array_equal(b_inline.per_stage, b_shard.per_stage)
-        finally:
-            executor_shutdown()
+        inline = batch_setup_states(order, perms)
+        sharded = batch_setup_states(order, perms, parallel=workers)
+        assert np.array_equal(inline, sharded)
+        f_inline, s_inline = batch_two_pass(order, perms)
+        f_shard, s_shard = batch_two_pass(order, perms, parallel=workers)
+        assert np.array_equal(f_inline, f_shard)
+        assert np.array_equal(s_inline, s_shard)
+        r_inline = batch_route_two_pass(order, perms)
+        r_shard = batch_route_two_pass(order, perms, parallel=workers)
+        assert np.array_equal(r_inline.mappings, r_shard.mappings)
+        assert np.array_equal(np.asarray(r_inline.success_mask),
+                              np.asarray(r_shard.success_mask))
+        b_inline = batch_self_route(perms, stage_data=True)
+        b_shard = batch_self_route(perms, stage_data=True,
+                                   parallel=workers)
+        assert np.array_equal(b_inline.mappings, b_shard.mappings)
+        assert np.array_equal(b_inline.per_stage, b_shard.per_stage)
+
+    def test_script_without_main_guard_runs_once(self, tmp_path):
+        """Sharding starts no interpreter: a script that shards at top
+        level, with no ``__main__`` guard, runs its body once."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent(f"""\
+            import sys
+            sys.path.insert(0, {str(Path(__file__).parents[1] / "src")!r})
+            from repro.accel import batch_setup_states
+            from repro.accel import executor
+            executor.SHARD_THRESHOLD = 4
+            rows = [tuple(range(8))] * 8
+            batch_setup_states(3, rows, parallel=2)
+            print("script body ran")
+        """))
+        proc = subprocess.run([sys.executable, str(script)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("script body ran") == 1
 
     def test_thread_fallback_determinism(self, no_numpy, low_threshold,
                                          rng):

@@ -1,11 +1,8 @@
 """Failure-path tests for the shard executor and the LRU cache.
 
-Pins the two bugfix satellites of the verification PR:
-
 - a shard that raises mid-batch must fail the *whole* dispatch with the
-  original exception — never a partial merge, never a silent re-run on
-  the thread pool (thread retry is reserved for environment failures:
-  pool creation errors and ``BrokenProcessPool``);
+  original exception and its type — never a partial merge, never a
+  silent re-run — with NumPy and on the no-NumPy fallback;
 - a ``clear()`` landing while a factory build is in flight must win:
   the finished build is handed to its caller but never resurrected into
   the cleared cache, and ``stats()`` snapshots stay internally
@@ -25,9 +22,7 @@ from repro.accel.batch import batch_in_class_f, batch_self_route
 from repro.accel.lru import LRUCache
 from repro.core import in_class_f
 from repro.core.permutation import random_permutation
-
-requires_numpy = pytest.mark.skipif(
-    not have_numpy(), reason="needs NumPy (process-pool executor path)")
+from repro.errors import NotAPowerOfTwoError
 
 
 @pytest.fixture(autouse=True)
@@ -39,14 +34,6 @@ def _clean_obs():
     obs.reset()
 
 
-@pytest.fixture
-def thread_sharding(monkeypatch):
-    """Force the executor onto the in-process thread path with a
-    threshold low enough that tiny test batches shard."""
-    monkeypatch.setattr(_np_seam, "FORCE_FALLBACK", True)
-    monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 2)
-
-
 def _rows(order, batch, seed=0):
     rng = random.Random(seed)
     return [random_permutation(1 << order, rng).as_tuple()
@@ -54,6 +41,15 @@ def _rows(order, batch, seed=0):
 
 
 class TestThreadShardFailures:
+    """Shard failures on the no-NumPy fallback."""
+
+    @pytest.fixture
+    def thread_sharding(self, monkeypatch):
+        """Force the pure-Python kernels, with a threshold low enough
+        that tiny test batches shard."""
+        monkeypatch.setattr(_np_seam, "FORCE_FALLBACK", True)
+        monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 2)
+
     def test_shard_exception_propagates(self, thread_sharding,
                                         monkeypatch):
         def boom(op, rows, options):
@@ -89,11 +85,8 @@ class TestThreadShardFailures:
             raise ValueError("deterministic failure")
 
         monkeypatch.setattr(_executor, "_run_shard", boom)
-        obs.enable()
         with pytest.raises(ValueError):
             batch_in_class_f(_rows(2, 8), parallel=2)
-        counters = obs.snapshot()["counters"]
-        assert "executor.fallback.calls" not in counters
         # each shard ran at most once — a retry would re-invoke the task
         assert sum(calls) <= 8
 
@@ -111,53 +104,22 @@ class TestThreadShardFailures:
         assert [bool(ok) for ok in mask] == \
             [in_class_f(row) for row in rows]
 
-
-class TestProcessShardFailures:
-    @requires_numpy
-    def test_worker_exception_propagates_with_type(self, monkeypatch):
-        from repro.errors import NotAPowerOfTwoError
-
-        monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 2)
-        obs.enable()
+    def test_worker_exception_propagates_with_type(self,
+                                                   thread_sharding):
         # width 3 passes the dispatcher untouched and explodes inside
-        # the worker's own validation — a genuine remote task failure
+        # the shard's own validation — a genuine task failure
         with pytest.raises(NotAPowerOfTwoError):
             _executor.dispatch("in_class_f", [[0, 1, 2]] * 8,
                                parallel=2)
-        counters = obs.snapshot()["counters"]
-        # a task failure is not an environment failure: no thread retry
-        assert "executor.fallback.calls" not in counters
 
-    @requires_numpy
-    def test_pool_survives_task_failure(self, monkeypatch):
-        from repro.errors import NotAPowerOfTwoError
 
+@pytest.mark.skipif(not have_numpy(), reason="NumPy absent")
+class TestThreadShardFailuresNumpy(TestThreadShardFailures):
+    """The same failures with the NumPy kernels in the shards."""
+
+    @pytest.fixture
+    def thread_sharding(self, monkeypatch):
         monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 2)
-        with pytest.raises(NotAPowerOfTwoError):
-            _executor.dispatch("in_class_f", [[0, 1, 2]] * 8,
-                               parallel=2)
-        rows = _rows(2, 8, seed=3)
-        mask = batch_in_class_f(rows, parallel=2)
-        assert [bool(ok) for ok in mask] == \
-            [in_class_f(row) for row in rows]
-
-    @requires_numpy
-    def test_pool_creation_failure_degrades_to_threads(self,
-                                                       monkeypatch):
-        monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 2)
-
-        def no_pool(workers, orders):
-            raise OSError("no /dev/shm in this sandbox")
-
-        monkeypatch.setattr(_executor, "_get_process_pool", no_pool)
-        obs.enable()
-        rows = _rows(2, 8, seed=4)
-        mask = batch_in_class_f(rows, parallel=2)
-        assert [bool(ok) for ok in mask] == \
-            [in_class_f(row) for row in rows]
-        counters = obs.snapshot()["counters"]
-        assert counters["executor.fallback.calls"] == 1
-        assert counters["executor.mode.thread"] == 1
 
 
 class TestLRUClearRace:
@@ -247,51 +209,3 @@ class TestLRUClearRace:
         assert stats["hits"] >= 0 and stats["misses"] >= 0
         assert stats["hits"] + stats["misses"] <= \
             n_threads * lookups_per_thread
-
-
-class TestShutdownDeltaFlush:
-    def test_failed_delta_flush_is_counted(self, monkeypatch):
-        # regression: a broken pool raising during the best-effort
-        # metrics flush at shutdown was swallowed silently; the lost
-        # delta must bump executor.delta_flush_failed
-        class _BrokenPool:
-            def __init__(self):
-                self.shutdowns = []
-
-            def submit(self, fn, *args):
-                raise RuntimeError("pool is broken")
-
-            def shutdown(self, wait=True):
-                self.shutdowns.append(wait)
-
-        pool = _BrokenPool()
-        monkeypatch.setattr(_executor, "_POOL", pool)
-        monkeypatch.setattr(_executor, "_POOL_WORKERS", 2)
-        obs.enable()
-        _executor.shutdown(wait=True)
-        counters = obs.snapshot()["counters"]
-        assert counters["executor.delta_flush_failed"] == 1
-        # shutdown itself still proceeded
-        assert pool.shutdowns == [True]
-        assert _executor._POOL is None
-
-    def test_healthy_flush_not_counted(self, monkeypatch):
-        class _QuietFuture:
-            def result(self, timeout=None):
-                return None
-
-        class _QuietPool:
-            def submit(self, fn, *args):
-                return _QuietFuture()
-
-            def shutdown(self, wait=True):
-                pass
-
-        monkeypatch.setattr(_executor, "_POOL", _QuietPool())
-        monkeypatch.setattr(_executor, "_POOL_WORKERS", 1)
-        obs.enable()
-        _executor.shutdown(wait=True)
-        # obs.reset() zeroes counters without unregistering them, so a
-        # prior test may have left the name behind — assert the value
-        counters = obs.snapshot()["counters"]
-        assert counters.get("executor.delta_flush_failed", 0) == 0

@@ -6,8 +6,8 @@ every kernel × op the bare kernel output must come back identical —
 same container types, dtypes and values, byte for byte — through:
 
 - the dispatch (``repro.accel.batch.dispatch``) with metrics on;
-- the executor, sharded on the process leg with NumPy and on the
-  thread leg under ``force_fallback``;
+- the executor's threads, sharded with NumPy present and under
+  ``force_fallback``;
 - the serve daemon, for the four wire ops (compared by value: the wire
   carries plain JSON).
 
@@ -120,11 +120,9 @@ class TestWrappersPreserveKernelOutput:
         assert _canon(wrapped) == _canon(bare)
         assert counters[f"accel.engine_selected.{kernel}"] == 1
 
-    @pytest.mark.skipif(not have_numpy(),
-                        reason="process-pool path requires NumPy")
-    @pytest.mark.parametrize("kernel,op", _cases())
-    def test_executor_process_leg(self, kernel, op):
-        rows = _batch(op, 3, 9, seed=7)
+    @staticmethod
+    def _check_sharded(kernel, op, seed):
+        rows = _batch(op, 3, 9, seed=seed)
         options = _options(op, 3)
         bare = KERNELS[kernel][op](rows, **options)
         obs.enable()
@@ -135,23 +133,17 @@ class TestWrappersPreserveKernelOutput:
         # composed shards its inner blocks (several shardings); its
         # two_pass runs whole on the inner engine, sharded once
         if kernel != "composed" or op == "two_pass":
-            assert obs.snapshot()["counters"]["executor.mode.process"] \
-                == 1
+            assert obs.snapshot()["counters"]["executor.calls"] == 1
+
+    @pytest.mark.skipif(not have_numpy(), reason="NumPy absent")
+    @pytest.mark.parametrize("kernel,op", _cases())
+    def test_executor_thread_leg_numpy(self, kernel, op):
+        self._check_sharded(kernel, op, seed=7)
 
     @pytest.mark.parametrize("kernel,op", _cases(fallback=True))
     def test_executor_thread_leg(self, kernel, op):
-        rows = _batch(op, 3, 9, seed=8)
-        options = _options(op, 3)
         with force_fallback():
-            bare = KERNELS[kernel][op](rows, **options)
-            obs.enable()
-            with low_shard_threshold(2):
-                sharded = dispatch(op, rows, engine=kernel, parallel=2,
-                                   **options)
-        assert _canon(sharded) == _canon(bare)
-        if kernel != "composed" or op == "two_pass":
-            assert obs.snapshot()["counters"]["executor.mode.thread"] \
-                == 1
+            self._check_sharded(kernel, op, seed=8)
 
 
 def _ints(rows):
@@ -237,6 +229,25 @@ class TestEdges:
         for call in calls:
             with pytest.raises(InvalidParameterError):
                 call()
+
+    @pytest.mark.parametrize("kernel", _kernels(fallback=False))
+    @pytest.mark.parametrize("op", ["self_route", "in_class_f"])
+    @pytest.mark.parametrize("tag,want", [
+        (9, InvalidParameterError), (-1, InvalidParameterError),
+        (2 ** 70, InvalidParameterError), (4, False)],
+        ids=["9", "-1", "2**70", "repeat"])
+    def test_malformed_rows_agree(self, kernel, op, tag, want):
+        """Every kernel gives one answer to an order-3 row with one
+        tag replaced: a tag outside ``[0, 8)``, of any width, raises
+        the range error; an in-range repeat is not delivered."""
+        row = [0, 1, 2, tag, 4, 5, 6, 7]
+        if want is InvalidParameterError:
+            with pytest.raises(InvalidParameterError, match=r"\[0, 8\)"):
+                dispatch(op, [row], engine=kernel)
+            return
+        result = dispatch(op, [row], engine=kernel)
+        mask = result.success_mask if op == "self_route" else result
+        assert [bool(ok) for ok in mask] == [want]
 
     @pytest.mark.parametrize("kernel", _kernels(fallback=False))
     def test_all_idle_partial_rows(self, kernel):

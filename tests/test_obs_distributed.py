@@ -1,13 +1,12 @@
-"""Distributed-observability tests: cross-process metric aggregation
-through the shard executor, span tracing (single reconstructable tree
-across workers), trace-file write atomicity, and the OpenMetrics /
-JSON exporters.
+"""Observability across the shard executor and its exporters: metric
+scoping between a sharded call and its shards, span tracing (one
+reconstructable tree across shard threads), trace-file write atomicity,
+and the OpenMetrics / JSON exporters.
 
-The parity tests are the acceptance gate for obs v2: a sharded batch
-run with metrics enabled must report **exactly** the same counter
-totals (calls, items, successes, failures, fallbacks, stage crossings)
-as the same batch run inline, for both the process-pool path and the
-thread-fallback path.
+The parity tests are the acceptance gate: a sharded batch run with
+metrics enabled must report **exactly** the same counter totals
+(calls, items, successes, failures, fallbacks, stage crossings) as the
+same batch run inline, with NumPy and on the no-NumPy fallback.
 """
 
 import importlib.util
@@ -17,14 +16,11 @@ import pathlib
 import random
 import subprocess
 import sys
-import textwrap
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.accel import batch_self_route, have_numpy
@@ -32,8 +28,6 @@ from repro.accel import _np as accel_np
 from repro.accel import executor as _executor
 from repro.core import BenesNetwork
 from repro.obs import export as obs_export
-from repro.obs.registry import DELTA_SCHEMA_VERSION, MetricsRegistry
-from repro.errors import InvalidParameterError
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -53,15 +47,13 @@ def _load_tool(name):
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    """Every test starts and ends with collection off, instruments
-    zeroed, and no executor pool held across tests (several tests
-    monkeypatch the shard threshold)."""
+    """Every test starts and ends with collection off and instruments
+    zeroed."""
     obs.disable()
     obs.reset()
     yield
     obs.disable()
     obs.reset()
-    _executor.shutdown()
 
 
 def _perms(order, count, seed=7):
@@ -84,117 +76,6 @@ def _parity_counters(snap):
 
 
 # ----------------------------------------------------------------------
-# Delta / merge wire form
-# ----------------------------------------------------------------------
-
-class TestDeltaMerge:
-    def test_counter_delta_is_incremental(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        assert reg.snapshot_delta()["counters"] == {"c": 3}
-        assert reg.snapshot_delta()["counters"] == {}
-        reg.counter("c").inc(2)
-        assert reg.snapshot_delta()["counters"] == {"c": 2}
-
-    def test_merge_semantics(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.counter("c").inc(1)
-        parent.gauge("g").set(10.0)
-        parent.histogram("h", bounds=(1.0, 10.0)).observe(0.5)
-        worker.counter("c").inc(4)
-        worker.gauge("g").set(99.0)
-        worker.histogram("h", bounds=(1.0, 10.0)).observe(50.0)
-        parent.merge(worker.snapshot_delta())
-        snap = parent.snapshot()
-        assert snap["counters"]["c"] == 5            # sum
-        assert snap["gauges"]["g"] == 99.0           # last write wins
-        hist = snap["histograms"]["h"]
-        assert hist["count"] == 2                    # bucket add
-        assert hist["min"] == 0.5 and hist["max"] == 50.0
-        assert hist["buckets"] == {"le_1": 1, "overflow": 1}
-
-    def test_merge_creates_missing_instruments(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        worker.counter("only.in.worker").inc(2)
-        worker.histogram("h", bounds=(2.0,)).observe(1.0)
-        parent.merge(worker.snapshot_delta())
-        snap = parent.snapshot()
-        assert snap["counters"]["only.in.worker"] == 2
-        assert snap["histograms"]["h"]["count"] == 1
-
-    def test_merge_rejects_unknown_schema_version(self):
-        with pytest.raises(InvalidParameterError):
-            MetricsRegistry().merge({"v": DELTA_SCHEMA_VERSION + 1})
-
-    def test_merge_rejects_mismatched_histogram_bounds(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.histogram("h", bounds=(1.0,)).observe(0.5)
-        worker.histogram("h", bounds=(2.0,)).observe(0.5)
-        with pytest.raises(InvalidParameterError):
-            parent.merge(worker.snapshot_delta())
-
-    def test_delta_is_json_picklable(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe(0.01)
-        delta = reg.snapshot_delta()
-        assert delta == json.loads(json.dumps(delta))
-
-    # an op is (kind, instrument index, integer value); integer-valued
-    # observations keep the float sums exact, so the split/merge run
-    # and the sequential run must produce *identical* snapshots
-    _OPS = st.lists(
-        st.tuples(st.sampled_from(["counter", "gauge", "hist"]),
-                  st.integers(0, 2), st.integers(0, 100)),
-        max_size=60,
-    )
-
-    @settings(max_examples=60, deadline=None)
-    @given(ops=_OPS, split=st.integers(0, 60))
-    def test_split_merge_equals_sequential(self, ops, split):
-        split = min(split, len(ops))
-        bounds = (1.0, 10.0, 100.0)
-
-        def apply(reg, op):
-            kind, idx, value = op
-            name = f"{kind}.{idx}"
-            if kind == "counter":
-                reg.counter(name).inc(value)
-            elif kind == "gauge":
-                reg.gauge(name).set(float(value))
-            else:
-                reg.histogram(name, bounds=bounds).observe(float(value))
-
-        sequential = MetricsRegistry()
-        for op in ops:
-            apply(sequential, op)
-
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        for op in ops[:split]:
-            apply(parent, op)
-        for op in ops[split:]:
-            apply(worker, op)
-        # round-trip through JSON, exactly as a spawn worker ships it
-        parent.merge(json.loads(json.dumps(worker.snapshot_delta())))
-
-        merged, expected = parent.snapshot(), sequential.snapshot()
-        # a counter only ever inc(0)'d by the worker is invisible on
-        # the wire (idle instruments are omitted from deltas), so the
-        # comparison is modulo zero-valued counters
-        def nonzero(counters):
-            return {k: v for k, v in counters.items() if v}
-
-        assert nonzero(merged["counters"]) == \
-            nonzero(expected["counters"])
-        assert merged["histograms"] == expected["histograms"]
-        # a gauge written only by the parent after the split point
-        # does not exist: gauges compare on the keys the worker shipped
-        # plus the parent's own — which is exactly the full key set
-        assert merged["gauges"] == expected["gauges"]
-
-
-# ----------------------------------------------------------------------
 # Sharded-vs-inline counter parity (the tentpole acceptance test)
 # ----------------------------------------------------------------------
 
@@ -210,9 +91,7 @@ class TestShardedParity:
         obs.reset()
         return inline, snap
 
-    @pytest.mark.skipif(not have_numpy(),
-                        reason="process-pool path requires NumPy")
-    def test_process_pool_parity(self, monkeypatch):
+    def _assert_parity(self, monkeypatch):
         perms = _perms(self.ORDER, self.COUNT)
         inline, inline_snap = self._inline_snapshot(perms)
 
@@ -223,50 +102,25 @@ class TestShardedParity:
         obs.disable()
 
         counters = sharded_snap["counters"]
-        assert counters["executor.mode.process"] == 1
+        assert counters["executor.calls"] == 1
         assert counters["executor.items"] == self.COUNT
-        assert counters["executor.worker.deltas"] == 2
+        assert sharded_snap["histograms"]["executor.worker.seconds"][
+            "count"] == 2
 
         assert list(sharded.success_mask) == list(inline.success_mask)
         assert _parity_counters(sharded_snap) == \
             _parity_counters(inline_snap)
+        return inline_snap
+
+    @pytest.mark.skipif(not have_numpy(), reason="NumPy absent")
+    def test_numpy_parity(self, monkeypatch):
+        inline_snap = self._assert_parity(monkeypatch)
+        assert inline_snap["counters"].get("accel.fallback.calls", 0) == 0
 
     def test_thread_fallback_parity(self, monkeypatch):
         monkeypatch.setattr(accel_np, "FORCE_FALLBACK", True)
-        perms = _perms(self.ORDER, self.COUNT)
-        inline, inline_snap = self._inline_snapshot(perms)
+        inline_snap = self._assert_parity(monkeypatch)
         assert inline_snap["counters"]["accel.fallback.calls"] == 1
-
-        monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 8)
-        obs.enable()
-        sharded = batch_self_route(perms, parallel=2)
-        sharded_snap = obs.snapshot()
-        obs.disable()
-
-        counters = sharded_snap["counters"]
-        assert counters["executor.mode.thread"] == 1
-        assert counters["executor.items"] == self.COUNT
-
-        assert list(sharded.success_mask) == list(inline.success_mask)
-        assert _parity_counters(sharded_snap) == \
-            _parity_counters(inline_snap)
-
-    @pytest.mark.skipif(not have_numpy(),
-                        reason="process-pool path requires NumPy")
-    def test_shutdown_flushes_straggler_deltas(self, monkeypatch):
-        """Work the pool, then shut it down: the teardown flush must
-        not lose or double-count anything (snapshot totals still equal
-        the inline run afterwards)."""
-        perms = _perms(self.ORDER, self.COUNT)
-        _, inline_snap = self._inline_snapshot(perms)
-
-        monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 8)
-        obs.enable()
-        batch_self_route(perms, parallel=2)
-        _executor.shutdown()
-        snap = obs.snapshot()
-        obs.disable()
-        assert _parity_counters(snap) == _parity_counters(inline_snap)
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +152,7 @@ class TestSpans:
         assert len({s["trace_id"] for s in spans}) == len(perms)
 
     def test_disabled_tracing_emits_nothing(self, tmp_path):
-        assert obs.trace_path() is None
+        assert not obs.trace_active()
         BenesNetwork(2).route((3, 2, 1, 0))
         batch_self_route([(3, 2, 1, 0)])
         assert list(tmp_path.iterdir()) == []
@@ -318,62 +172,23 @@ class TestSpans:
         )
 
 
-_SHARDED_TRACE_SCRIPT = """\
-import json
-import random
-import sys
-
-sys.path.insert(0, {src!r})
-
-if __name__ == "__main__":
-    mode, trace_path = sys.argv[1], sys.argv[2]
-    if mode == "thread":
-        from repro.accel import _np
-        _np.FORCE_FALLBACK = True
-    import repro.obs as obs
-    from repro.accel import batch_self_route
-    from repro.accel import executor as ex
-    ex.SHARD_THRESHOLD = 8
-    rng = random.Random(7)
-    perms = [tuple(rng.sample(range(8), 8)) for _ in range(32)]
-    obs.enable(trace=trace_path)
-    batch_self_route(perms, parallel=2)
-    ex.shutdown()
-    obs.disable()
-    counters = obs.snapshot()["counters"]
-    print(json.dumps({{
-        "mode_process": counters.get("executor.mode.process", 0),
-        "mode_thread": counters.get("executor.mode.thread", 0),
-    }}))
-"""
-
-
 class TestShardedSpanTree:
     """A sharded batch forms ONE span tree: the batch root, the
     executor dispatch under it, the per-shard spans under the
-    dispatch, and each worker's batch span under its shard — even when
-    the shards ran in other processes."""
+    dispatch, and each shard's batch span under its shard — although
+    every shard ran on a thread of its own."""
 
-    def _run(self, tmp_path, mode):
-        script = tmp_path / "sharded_trace.py"
-        script.write_text(_SHARDED_TRACE_SCRIPT.format(src=str(SRC)))
+    @pytest.mark.parametrize("mode", ["numpy", "fallback"])
+    def test_single_tree_across_workers(self, tmp_path, monkeypatch,
+                                        mode):
+        if mode == "numpy" and not have_numpy():
+            pytest.skip("NumPy absent")
+        monkeypatch.setattr(accel_np, "FORCE_FALLBACK", mode == "fallback")
+        monkeypatch.setattr(_executor, "SHARD_THRESHOLD", 8)
         trace = tmp_path / f"{mode}.jsonl"
-        proc = subprocess.run(
-            [sys.executable, str(script), mode, str(trace)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return trace, json.loads(proc.stdout.strip().splitlines()[-1])
-
-    @pytest.mark.parametrize("mode", ["process", "thread"])
-    def test_single_tree_across_workers(self, tmp_path, mode):
-        if mode == "process" and not have_numpy():
-            pytest.skip("process-pool path requires NumPy")
-        trace, counters = self._run(tmp_path, mode)
-        if mode == "process":
-            assert counters["mode_process"] == 1
-        else:
-            assert counters["mode_thread"] == 1
+        obs.enable(trace=str(trace))
+        batch_self_route(_perms(3, 32), parallel=2)
+        obs.disable()
 
         # the CI smoke contract: trace_tree validates and exits 0
         tree = subprocess.run(

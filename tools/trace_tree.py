@@ -2,8 +2,9 @@
 """Reassemble and pretty-print the span tree of a JSON-lines trace.
 
 ``repro.obs`` writes trace files as a flat stream of one-line JSON
-records — possibly interleaved by many worker processes, each line
-appended atomically (see ``repro/obs/trace.py``).  ``span`` records
+records — possibly interleaved by shard threads or by several
+processes sharing the file, each line appended atomically (see
+``repro/obs/trace.py``).  ``span`` records
 carry ``trace_id`` / ``span_id`` / ``parent_id``; this tool groups
 them by trace, rebuilds each causal tree and prints it indented with
 wall times::
