@@ -137,7 +137,7 @@ class TestWrappersPreserveKernelOutput:
 
     @pytest.mark.skipif(not have_numpy(), reason="NumPy absent")
     @pytest.mark.parametrize("kernel,op", _cases())
-    def test_executor_thread_leg_numpy(self, kernel, op):
+    def test_executor_numpy_leg(self, kernel, op):
         self._check_sharded(kernel, op, seed=7)
 
     @pytest.mark.parametrize("kernel,op", _cases(fallback=True))
