@@ -132,19 +132,23 @@ def _tag_range_error(n) -> InvalidParameterError:
 
 def _as_tag_array(np, tags_batch):
     """Validate a batch of tag vectors as a ``(B, N)`` int64 array.  A
-    tag too wide for int64 is out of range too, so the conversion's
+    width that is not a power of two is reported before any tag range.
+    A tag too wide for int64 is out of range too, so the conversion's
     ``OverflowError`` becomes the range error."""
     try:
         arr = _int64_rows(np, tags_batch)
     except OverflowError:
-        raise _tag_range_error(_batch_dims(tags_batch)[1] or "N") \
-            from None
+        width = _batch_dims(tags_batch)[1]
+        if width is not None:
+            log2_exact(width)
+        raise _tag_range_error(width or "N") from None
     if arr.ndim != 2:
         raise SizeMismatchError(
             f"expected a (B, N) batch of tag vectors, got shape "
             f"{arr.shape}"
         )
     n = arr.shape[1]
+    log2_exact(n)
     if arr.size and ((arr < 0) | (arr >= n)).any():
         raise _tag_range_error(n)
     return arr

@@ -90,6 +90,7 @@ from time import perf_counter as _perf_counter
 from typing import NamedTuple, Optional
 
 from .. import obs as _obs
+from ..core.bits import log2_exact
 from ..core.routing import BatchRouteResult
 from ..core.switch import validate_stuck_switches
 from ..errors import InvalidParameterError, SizeMismatchError
@@ -101,7 +102,6 @@ from .batch import (
     _as_tag_array,
     _batch_dims,
     _inverse,
-    _order_hint,
     _reject_scalar_options,
     _route_array,
     _state_transit,
@@ -566,12 +566,9 @@ def composed_self_route(tags_batch, *, omega_mode=False,
     enabled = _obs.enabled()
     t0 = _perf_counter() if enabled else 0.0
     b_hint, n_hint = _batch_dims(tags_batch)
-    order = _order_hint(n_hint)
-    if order is None:
-        raise SizeMismatchError(
-            "expected a (B, N) batch of tag vectors with N a positive "
-            f"power of two, got row width {n_hint!r}"
-        )
+    if n_hint is None:
+        raise SizeMismatchError("expected a (B, N) batch of tag vectors")
+    order = log2_exact(n_hint)
     if order < 2:
         return batch_self_route(
             tags_batch, omega_mode=omega_mode, stage_data=stage_data,

@@ -54,12 +54,13 @@ __all__ = ["ENGINES", "KERNELS", "scalar_in_class_f",
 
 
 def _check_tag_range(tags) -> None:
-    """Reject a row holding a tag outside ``[0, N)`` with the range
-    error of the other kernels (``fast_self_route`` itself answers
-    such a row with a failure, ``in_class_f`` with
-    ``InvalidPermutationError``)."""
+    """Reject a row whose width is not a power of two, then a row
+    holding a tag outside ``[0, N)``, with the errors of the other
+    kernels (``fast_self_route`` itself answers an out-of-range row
+    with a failure, ``in_class_f`` with ``InvalidPermutationError``)."""
     n = len(tags)
-    if n and not (0 <= min(tags) and max(tags) < n):
+    log2_exact(n)
+    if not (0 <= min(tags) and max(tags) < n):
         raise batch._tag_range_error(n)
 
 
@@ -97,7 +98,6 @@ def scalar_in_class_f(perms_batch) -> list:
     verdicts = []
     for perm in perms_batch:
         _check_tag_range(perm)
-        log2_exact(len(perm))  # the width error precedes the repeat test
         verdicts.append(len(set(perm)) == len(perm) and in_class_f(perm))
     return verdicts
 

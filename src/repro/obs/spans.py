@@ -101,11 +101,13 @@ class Span:
         self._done = False
 
     def finish(self, **extra) -> None:
-        """Emit the ``span`` event and restore the enclosing span."""
+        """Emit the ``span`` event and restore the enclosing span.  A
+        span finished outside the context that opened it (an asyncio
+        callback, say) is still emitted; the finishing context's
+        current span is left as it is."""
         if self._done:
             return
         self._done = True
-        _CURRENT.reset(self._token)
         from . import inc, trace_event
 
         fields = dict(self.fields)
@@ -121,6 +123,10 @@ class Span:
             **fields,
         )
         inc("obs.spans.emitted")
+        try:
+            _CURRENT.reset(self._token)
+        except ValueError:
+            pass  # the token belongs to another context
 
 
 def start_span(name: str, **fields) -> Optional[Span]:

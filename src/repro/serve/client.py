@@ -6,16 +6,19 @@ private dict format; everything it sends and returns is a
 :class:`~repro.serve.protocol.RouteRequest` /
 :class:`~repro.serve.protocol.RouteResponse`.
 
-:meth:`ServeClient.request_many` **pipelines**: all request lines go
-out before any response line is read, which is what lets the daemon
+:meth:`ServeClient.request_many` **pipelines**: it sends a whole
+burst without waiting for answers, which is what lets the daemon
 coalesce one client's burst (and many clients' concurrent bursts) into
-wide engine batches.  Responses arrive in whatever order their batches
-complete; the client reorders by correlation id, so callers always get
-answers positionally matched to their requests.
+wide engine batches.  It reads answers while it sends, so a burst
+larger than the socket buffers cannot stall a daemon that stops
+reading until its answers are read.  Responses arrive in whatever
+order their batches complete; the client reorders by correlation id,
+so callers always get answers positionally matched to their requests.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
 from typing import Dict, List, Optional, Sequence
 
@@ -34,23 +37,20 @@ class ServeClient:
     Args:
         host / port: the daemon's bound address
             (:attr:`repro.serve.daemon.DaemonHandle.address`).
-        timeout: per-socket-operation timeout in seconds.
+        timeout: the longest wait, in seconds, for the daemon to take
+            more of a burst or send more answers.
     """
 
     def __init__(self, host: str, port: int, *,
                  timeout: float = 30.0):
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout)
-        self._reader = self._sock.makefile("rb")
+        self._partial = b""  # the unterminated tail of the answers
         self._next_id = 0
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
         if self._sock is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
             try:
                 self._sock.close()
             except OSError:
@@ -71,9 +71,9 @@ class ServeClient:
 
     def request_many(self, requests: Sequence[protocol.RouteRequest]
                      ) -> List[protocol.RouteResponse]:
-        """Send every request before reading any response (one write,
-        one pipelined burst — the shape the daemon coalesces), then
-        return responses **in request order** regardless of the order
+        """Send every request as one pipelined burst (the shape the
+        daemon coalesces), reading answers as they come, then return
+        the responses **in request order** regardless of the order
         batches completed in.  Responses are matched by id, so a burst
         that repeats an id raises
         :class:`~repro.errors.InvalidParameterError` before anything
@@ -87,19 +87,38 @@ class ServeClient:
                     f"request id {request.id} appears more than once in "
                     "one burst; responses are matched to requests by id")
             seen.add(request.id)
-        lines = "".join(protocol.encode_request(request) + "\n"
-                        for request in requests)
-        self._sock.sendall(lines.encode("utf-8"))
+        unsent = memoryview("".join(
+            protocol.encode_request(request) + "\n"
+            for request in requests).encode("utf-8"))
         by_id: Dict[int, protocol.RouteResponse] = {}
-        for _ in range(len(requests)):
-            line = self._reader.readline()
-            if not line:
-                raise ProtocolError(
-                    "connection closed by daemon before all "
-                    f"responses arrived ({len(by_id)} of "
-                    f"{len(requests)} received)")
-            response = protocol.decode_response(line)
-            by_id[response.id] = response
+        received = 0
+        with selectors.DefaultSelector() as selector:
+            selector.register(self._sock, selectors.EVENT_READ
+                              | selectors.EVENT_WRITE)
+            while received < len(requests):
+                ready = selector.select(self._sock.gettimeout())
+                if not ready:
+                    raise socket.timeout(
+                        f"no progress from the daemon ({received} of "
+                        f"{len(requests)} responses received)")
+                mask = ready[0][1]
+                if mask & selectors.EVENT_WRITE:
+                    unsent = unsent[self._sock.send(unsent):]
+                    if not unsent:
+                        selector.modify(self._sock, selectors.EVENT_READ)
+                if mask & selectors.EVENT_READ:
+                    chunk = self._sock.recv(1 << 16)
+                    if not chunk:
+                        raise ProtocolError(
+                            "connection closed by daemon before all "
+                            f"responses arrived ({received} of "
+                            f"{len(requests)} received)")
+                    *lines, self._partial = \
+                        (self._partial + chunk).split(b"\n")
+                    for line in lines:
+                        response = protocol.decode_response(line)
+                        by_id[response.id] = response
+                    received += len(lines)
         try:
             return [by_id[request.id] for request in requests]
         except KeyError as exc:

@@ -21,12 +21,22 @@ a lone request waits for no one.
 
 Dataflow per request::
 
-    accept ── readline ── decode ── offer ─┬─ FLUSH ───────┐ (size cutoff)
-                                           ├─ QUEUED ──────┤ (end of tick)
-                                           │               ├─ engine batch,
-                                           │               │  on the loop
-                                           │               └─ fan responses
-                                           └─ REJECT ── "rejected"
+    accept ── split line ── decode ── offer ─┬─ FLUSH ──────┐ (size cutoff)
+                                             ├─ QUEUED ─────┤ (end of tick)
+                                             │              ├─ engine batch,
+                                             │              │  on the loop
+                                             │              └─ answer
+                                             └─ REJECT ── "rejected"
+
+Each connection is one :class:`asyncio.Protocol`.  It splits request
+lines out of what it reads, decodes each inline and answers it from
+its batch future's callback, with or without tracing.  Above asyncio's
+write-buffer high-water mark a connection stops reading until its
+client drains the answers, so a client that reads nothing stops being
+read instead of growing the daemon's memory.  A client that
+half-closes still gets every answer, and :meth:`RoutingDaemon.stop`
+aborts the connections that have not closed a second after it closed
+them.
 
 Engine dispatch goes through the engine seam
 (:func:`repro.accel.resolve_engine` — explicit config engine >
@@ -44,7 +54,9 @@ shard — reassembles into **one** trace tree
 (``tools/trace_tree.py --max-trees 1``).  Counters: ``serve.requests.
 <op>``, ``serve.batches``, ``serve.flush.{size,tick,drain}`` (why each
 batch left the coalescer), ``serve.rejected``, ``serve.errors``,
-``serve.connections.opened/closed``; histograms ``serve.batch_size``
+``serve.connections.opened/closed``, ``serve.pauses`` (a connection
+stopped reading until its answers drain), ``serve.responses.dropped``
+(answers to a client that hung up); histograms ``serve.batch_size``
 and ``serve.batch.seconds`` (loop time per batch: engine plus response
 building).
 """
@@ -52,9 +64,11 @@ building).
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter as _perf_counter
 from typing import Optional, Tuple
 
@@ -68,7 +82,7 @@ from ..accel.plans import cached_topology, stage_plan
 from ..accel.setup import batch_setup_states, setup_plan
 from ..accel._np import resolve_engine
 from ..core.bits import log2_exact
-from ..errors import InvalidParameterError, ProtocolError, ReproError
+from ..errors import InvalidParameterError, ProtocolError
 from ..obs import spans as _spans
 from . import protocol
 from .coalescer import FLUSH, REJECT, CoalescingQueue
@@ -82,12 +96,17 @@ __all__ = [
     "start_in_thread",
 ]
 
-#: The longest request line the daemon reads, newline not counted:
-#: asyncio's default stream limit.  An order-13 route request (about
-#: 40 KB) fits; an order-14 one (about 87 KB) does not.
+#: The longest request line the daemon reads, newline not counted.
+#: An order-13 route request (about 40 KB) fits; an order-14 one
+#: (about 87 KB) does not.
 _LINE_LIMIT = 64 * 1024
 
-_OVERSIZED = f"request line exceeds the {_LINE_LIMIT}-byte limit"
+_OVERSIZED = protocol.error_response(
+    "route", -1, f"request line exceeds the {_LINE_LIMIT}-byte limit")
+
+#: Seconds :meth:`RoutingDaemon.stop` lets closed connections flush
+#: their answers before it aborts them.
+_CLOSE_GRACE = 1.0
 
 
 @dataclass(frozen=True)
@@ -151,9 +170,7 @@ class RoutingDaemon:
         self._root: Optional[_spans.Span] = None
         self._root_ids: Optional[Tuple[str, str]] = None
         self._tick_armed = False
-        self._request_tasks: set = set()
-        self._conn_tasks: set = set()
-        self._writers: set = set()
+        self._transports: set = set()
         self._stopping = False
 
     # -- lifecycle -----------------------------------------------------
@@ -179,9 +196,9 @@ class RoutingDaemon:
         if self._root is not None:
             self._root_ids = (self._root.context.trace_id,
                               self._root.context.span_id)
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            reuse_address=True, limit=_LINE_LIMIT,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host,
+            self.config.port, reuse_address=True,
         )
 
     @property
@@ -193,41 +210,38 @@ class RoutingDaemon:
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, flush every queued
-        request through the engines, let in-flight responses reach
-        their sockets, close connections, finish the root span."""
+        request through the engines, write the answers, close the
+        connections, finish the root span.  A connection whose client
+        leaves its answers unread cannot finish closing; it is aborted
+        after :data:`_CLOSE_GRACE` seconds."""
         self._stopping = True
         if self._server is not None:
             self._server.close()
         for _key, items in self._coalescer.drain():
             self._route(items, "drain")
-        # Fast-path response callbacks were scheduled by the batch
-        # futures resolving above; give the loop one pass to run them
-        # before the writers close.
+        # The batch futures resolved above scheduled their answers;
+        # give the loop one pass to write them before closing.
         await asyncio.sleep(0)
-        while self._request_tasks:
-            await asyncio.gather(*list(self._request_tasks),
-                                 return_exceptions=True)
-        for writer in list(self._writers):
+        for transport in list(self._transports):
             try:
-                writer.close()
+                transport.close()
             except Exception:  # noqa: BLE001 - shutdown must proceed
                 # A transport that refuses to close is an operational
                 # fault worth counting, not worth failing shutdown for.
                 _obs.inc("serve.errors")
-        while self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks),
-                                 return_exceptions=True)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _CLOSE_GRACE
+        while self._transports and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        for transport in list(self._transports):
+            transport.abort()
+        await asyncio.sleep(0)  # connection_lost of the aborted ones
         if self._server is not None:
-            # Last: from Python 3.12.1 on this waits until every
-            # connection has dropped, which the writer closes above do.
+            # From Python 3.12.1 on this waits until every connection
+            # has dropped, which the closes above see to.
             await self._server.wait_closed()
         if self._root is not None:
-            try:
-                self._root.finish()
-            except ValueError:
-                # Finished from a different context than it was opened
-                # in; the span event is still emitted by finish().
-                pass
+            self._root.finish()
             self._root = None
             self._root_ids = None
 
@@ -240,160 +254,10 @@ class RoutingDaemon:
         finally:
             await self.stop()
 
-    # -- connection handling -------------------------------------------
-
     def _adopt_root(self):
         if self._root_ids is None:
             return nullcontext()
         return _spans.adopt(*self._root_ids)
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        _obs.inc("serve.connections.opened")
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        line_tasks: set = set()
-        pending: set = set()
-        with self._adopt_root():
-            conn_span = _spans.start_span("serve.connection")
-            try:
-                while True:
-                    try:
-                        line = await _read_line(reader)
-                    except ConnectionError:
-                        break
-                    if line is None:
-                        _obs.inc("serve.errors")
-                        self._write_response(
-                            writer,
-                            protocol.error_response("route", -1, _OVERSIZED))
-                        continue
-                    if not line:
-                        break
-                    if not line.strip():
-                        continue
-                    if conn_span is not None:
-                        # Traced path: one task per request so each
-                        # gets its own serve.request span, written as
-                        # its batch completes.
-                        line_task = asyncio.create_task(
-                            self._handle_line(line, writer, write_lock))
-                        line_tasks.add(line_task)
-                        self._request_tasks.add(line_task)
-                        line_task.add_done_callback(line_tasks.discard)
-                        line_task.add_done_callback(
-                            self._request_tasks.discard)
-                    else:
-                        # Hot path: decode and enqueue inline, deliver
-                        # via a future callback — no task, no lock, no
-                        # per-response drain (response writes happen on
-                        # the loop thread, where write() only buffers;
-                        # the transport flushes on close).
-                        self._handle_line_fast(line, writer, pending)
-            finally:
-                if line_tasks:
-                    await asyncio.gather(*list(line_tasks),
-                                         return_exceptions=True)
-                if pending:
-                    # Batches still in flight for this connection:
-                    # their response callbacks must run before the
-                    # writer closes.
-                    await asyncio.gather(*list(pending),
-                                         return_exceptions=True)
-                    await asyncio.sleep(0)
-                if conn_span is not None:
-                    conn_span.finish()
-                self._writers.discard(writer)
-                try:
-                    writer.close()
-                    await writer.wait_closed()
-                except Exception:  # noqa: BLE001 - teardown continues
-                    # Peers that vanish mid-close (reset, aborted
-                    # handshake) surface here; count instead of hiding.
-                    _obs.inc("serve.errors")
-                if task is not None:
-                    self._conn_tasks.discard(task)
-                _obs.inc("serve.connections.closed")
-
-    async def _handle_line(self, line: bytes,
-                           writer: asyncio.StreamWriter,
-                           write_lock: asyncio.Lock) -> None:
-        try:
-            request = protocol.decode_request(line)
-        except ProtocolError as exc:
-            _obs.inc("serve.errors")
-            await self._send(writer, write_lock,
-                             protocol.error_response("route", -1,
-                                                     str(exc)))
-            return
-        _obs.inc(f"serve.requests.{request.op}")
-        opened = _spans.start_span("serve.request", op=request.op,
-                                   n=len(request.tags))
-        status = "error"
-        try:
-            try:
-                response = await self._submit(request)
-            except ReproError as exc:
-                _obs.inc("serve.errors")
-                response = protocol.error_response(
-                    request.op, request.id,
-                    f"{type(exc).__name__}: {exc}")
-            status = response.status
-            await self._send(writer, write_lock, response)
-        finally:
-            if opened is not None:
-                opened.finish(status=status)
-
-    def _handle_line_fast(self, line: bytes,
-                          writer: asyncio.StreamWriter,
-                          pending: set) -> None:
-        """The untraced request path, run inline in the reader loop:
-        decode, enqueue, and hook the response write onto the batch
-        future — per-request work the event loop cannot avoid, and
-        nothing else."""
-        try:
-            request = protocol.decode_request(line)
-        except ProtocolError as exc:
-            _obs.inc("serve.errors")
-            self._write_response(
-                writer, protocol.error_response("route", -1, str(exc)))
-            return
-        _obs.inc(f"serve.requests.{request.op}")
-        outcome = self._submit_nowait(request)
-        if isinstance(outcome, protocol.RouteResponse):
-            self._write_response(writer, outcome)
-            return
-        pending.add(outcome)
-
-        def deliver(future: "asyncio.Future") -> None:
-            pending.discard(future)
-            self._write_response(writer, future.result())
-
-        outcome.add_done_callback(deliver)
-
-    def _write_response(self, writer: asyncio.StreamWriter,
-                        response: protocol.RouteResponse) -> None:
-        payload = (protocol.encode_response(response) + "\n") \
-            .encode("utf-8")
-        try:
-            writer.write(payload)
-        except (ConnectionError, RuntimeError):
-            pass  # client went away; nothing to tell it
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    write_lock: asyncio.Lock,
-                    response: protocol.RouteResponse) -> None:
-        payload = (protocol.encode_response(response) + "\n") \
-            .encode("utf-8")
-        try:
-            async with write_lock:
-                writer.write(payload)
-                await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # client went away; nothing to tell it
 
     # -- coalescing ----------------------------------------------------
 
@@ -419,13 +283,6 @@ class RoutingDaemon:
             self._tick_armed = True
             loop.call_soon(self._flush_tick, loop)
         return future
-
-    async def _submit(self, request: protocol.RouteRequest
-                      ) -> protocol.RouteResponse:
-        outcome = self._submit_nowait(request)
-        if isinstance(outcome, protocol.RouteResponse):
-            return outcome
-        return await outcome
 
     def _flush_tick(self, loop: asyncio.AbstractEventLoop) -> None:
         self._tick_armed = False
@@ -516,27 +373,114 @@ class RoutingDaemon:
         return responses
 
 
-async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """The next line, ``b""`` at end of stream, or ``None`` for a line
-    longer than :data:`_LINE_LIMIT`.  An over-long line is read and
-    dropped through its newline, so the next read starts on the next
-    request even when the rest of the line was still in flight."""
-    try:
-        return await reader.readuntil(b"\n")
-    except asyncio.IncompleteReadError as exc:
-        return exc.partial  # end of stream: a last unterminated line
-    except asyncio.LimitOverrunError as exc:
-        consumed = exc.consumed
-    while True:
+class _Connection(asyncio.Protocol):
+    """One client connection: splits request lines out of the byte
+    stream, answers each from its batch future, and stops reading while
+    the client leaves its answers unread."""
+
+    def __init__(self, daemon: RoutingDaemon):
+        self._daemon = daemon
+        self._transport: Optional[asyncio.Transport] = None
+        self._partial = b""       # the unterminated tail of the stream
+        self._skipping = False    # inside an over-long line
+        self._outstanding = 0     # requests waiting for their batch
+        self._eof = False
+        self._span: Optional[_spans.Span] = None
+        self._context: Optional[contextvars.Context] = None
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._daemon._transports.add(transport)
+        _obs.inc("serve.connections.opened")
+        with self._daemon._adopt_root():
+            self._span = _spans.start_span("serve.connection")
+            if self._span is not None:
+                # Each request span opens in its own copy of this
+                # context: a child of the connection, current nowhere
+                # else, so later requests do not nest under it.
+                self._context = contextvars.copy_context()
+
+    def connection_lost(self, exc) -> None:
+        self._daemon._transports.discard(self._transport)
+        if self._span is not None:
+            self._span.finish()
+        _obs.inc("serve.connections.closed")
+
+    def pause_writing(self) -> None:
+        _obs.inc("serve.pauses")
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        *lines, self._partial = (self._partial + data).split(b"\n")
+        for line in lines:
+            if self._skipping:
+                self._skipping = False  # the end of an over-long line
+            elif len(line) > _LINE_LIMIT:
+                self._reject_oversized()
+            elif line.strip():
+                self._request(line)
+        if len(self._partial) > _LINE_LIMIT:
+            # Answer before the newline arrives, and drop the rest of
+            # the line as it comes.
+            if not self._skipping:
+                self._reject_oversized()
+            self._skipping, self._partial = True, b""
+
+    def eof_received(self) -> bool:
+        if not self._skipping and self._partial.strip():
+            self._request(self._partial)  # a last unterminated line
+        self._partial = b""
+        self._eof = True
+        # Keep the write side open until the last answer is written.
+        return self._outstanding > 0
+
+    def _reject_oversized(self) -> None:
+        _obs.inc("serve.errors")
+        self._answer(_OVERSIZED)
+
+    def _request(self, line: bytes) -> None:
+        """Decode one request line and answer it: at once when it is
+        malformed or rejected, else when its batch resolves."""
         try:
-            # The first `consumed` buffered bytes hold no newline.
-            await reader.readexactly(consumed)
-            await reader.readuntil(b"\n")
-            return None
-        except asyncio.IncompleteReadError:
-            return None
-        except asyncio.LimitOverrunError as exc:
-            consumed = exc.consumed
+            request = protocol.decode_request(line)
+        except ProtocolError as exc:
+            _obs.inc("serve.errors")
+            self._answer(protocol.error_response("route", -1, str(exc)))
+            return
+        _obs.inc(f"serve.requests.{request.op}")
+        opened = context = None
+        if self._context is not None:
+            context = self._context.copy()
+            opened = context.run(_spans.start_span, "serve.request",
+                                 op=request.op, n=len(request.tags))
+        outcome = self._daemon._submit_nowait(request)
+        if isinstance(outcome, protocol.RouteResponse):
+            self._answer(outcome, opened)
+            return
+        self._outstanding += 1
+        outcome.add_done_callback(partial(self._deliver, opened),
+                                  context=context)
+
+    def _deliver(self, opened: Optional[_spans.Span],
+                 future: "asyncio.Future") -> None:
+        self._outstanding -= 1
+        self._answer(future.result(), opened)
+        if self._eof and not self._outstanding:
+            self._transport.close()
+
+    def _answer(self, response: protocol.RouteResponse,
+                opened: Optional[_spans.Span] = None) -> None:
+        if self._transport.is_closing():
+            _obs.inc("serve.responses.dropped")  # nobody left to read it
+        else:
+            self._transport.write(
+                (protocol.encode_response(response) + "\n")
+                .encode("utf-8"))
+        if opened is not None:
+            opened.finish(status=response.status)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.accel.batch import dispatch
 from repro.core import random_permutation, setup_states
 from repro.core.routing import BatchRouteResult
 from repro.engines import force_fallback, low_shard_threshold
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, NotAPowerOfTwoError
 from repro.serve import ServeConfig
 from repro.serve.client import ServeClient
 from repro.serve.daemon import start_in_thread
@@ -248,6 +248,17 @@ class TestEdges:
         result = dispatch(op, [row], engine=kernel)
         mask = result.success_mask if op == "self_route" else result
         assert [bool(ok) for ok in mask] == [want]
+
+    @pytest.mark.parametrize("kernel", _kernels(fallback=False))
+    @pytest.mark.parametrize("op", ["self_route", "in_class_f"])
+    @pytest.mark.parametrize("row", [[0, 1, 2], [0, 0, 1], [0, 1, 5],
+                                     [0, 1, -1], [0, 1, 2 ** 70]],
+                             ids=["perm", "repeat", "5", "-1", "2**70"])
+    def test_width_error_precedes_tag_range(self, kernel, op, row):
+        """Every kernel rejects a row of width 3 as not a power of
+        two, whatever its tags hold."""
+        with pytest.raises(NotAPowerOfTwoError):
+            dispatch(op, [row], engine=kernel)
 
     @pytest.mark.parametrize("kernel", _kernels(fallback=False))
     def test_all_idle_partial_rows(self, kernel):

@@ -7,6 +7,7 @@ the CLI surfaces (``benes metrics``, ``--profile``), the accel cache
 introspection, and the removal of the tuple-unpacking shim.
 """
 
+import contextvars
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from repro.core import BenesNetwork, Permutation
 from repro.core.fastpath import fast_self_route
 from repro.core.routing import BatchRouteResult
 from repro.errors import InvalidParameterError
+from repro.obs import spans
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TRACE_SCHEMA_VERSION
 
@@ -194,6 +196,19 @@ class TestTrace:
     def test_no_sink_no_events(self):
         assert not obs.trace_active()
         obs.trace_event("ignored")         # must not raise
+
+    def test_span_finished_in_another_context_is_emitted(self):
+        sink = io.StringIO()
+        obs.trace_to(sink)
+        opened = contextvars.copy_context().run(spans.start_span,
+                                                "elsewhere")
+        opened.finish(status="ok")
+        obs.trace_off()
+        events = [json.loads(line) for line in
+                  sink.getvalue().splitlines()]
+        assert [(e["name"], e["status"]) for e in events] == \
+            [("elsewhere", "ok")]
+        assert spans.current_context() is None
 
     def test_trace_independent_of_metrics(self):
         sink = io.StringIO()

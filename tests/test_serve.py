@@ -1,6 +1,6 @@
 """Routing-as-a-service: protocol, coalescer, daemon, client.
 
-Three layers, three test strategies:
+Four layers, and how each is tested:
 
 - **protocol** — pure-function roundtrips and validation (the frozen
   schema is the contract every other layer builds on);
@@ -11,8 +11,11 @@ Three layers, three test strategies:
   every engine and op, work-conserving dispatch (no wait for company,
   arrivals during a batch form the next one), a malformed lane failing
   alone, backpressure rejection, over-long lines, disconnects and
-  shutdown with requests in flight, counters, and the
-  single-trace-tree invariant checked by ``tools/trace_tree.py``.
+  shutdown with requests in flight, clients that read nothing or
+  half-close, counters, and the single-trace-tree invariant checked
+  by ``tools/trace_tree.py``;
+- **client** — against stub servers: shed requests, repeated ids, and
+  a burst that outgrows the socket buffers.
 """
 
 from __future__ import annotations
@@ -79,13 +82,51 @@ def _line(op, row, request_id) -> bytes:
     return (protocol.encode_request(request) + "\n").encode("utf-8")
 
 
+def _unread_burst(address, count):
+    """Connect and send ``count`` order-8 route requests with states,
+    reading nothing.  Returns the socket once the daemon has taken the
+    whole burst or a send has waited 0.5 s in vain."""
+    row = tuple(reversed(range(256)))
+    payload = "".join(
+        protocol.encode_request(protocol.RouteRequest(
+            op="route", tags=row, id=index, stage_states=True)) + "\n"
+        for index in range(count)).encode("utf-8")
+    sock = socket.create_connection(address, timeout=0.5)
+    unsent = memoryview(payload)
+    try:
+        while unsent:
+            unsent = unsent[sock.send(unsent):]
+    except socket.timeout:
+        pass  # the daemon stopped reading
+    return sock
+
+
+def _counter_when_settled(name, quiet=0.25, limit=30.0):
+    """The counter ``name`` once it is non-zero and has held still for
+    ``quiet`` seconds, or after ``limit`` seconds."""
+    deadline = time.monotonic() + limit
+    value = None
+    while time.monotonic() < deadline:
+        time.sleep(quiet)
+        value, previous = obs.snapshot()["counters"].get(name, 0), value
+        if value and value == previous:
+            break
+    return value
+
+
 @contextlib.contextmanager
-def _stub_server(answer):
+def _stub_server(answer, rcvbuf=None):
     """A one-connection stand-in for the daemon: every request line it
     reads is answered with ``answer(request)``, or not at all when
     ``answer`` is ``None``.  Yields ``(address, received)``; the bytes
-    read accumulate in ``received`` until the client hangs up."""
-    listener = socket.create_server(("127.0.0.1", 0))
+    read accumulate in ``received`` until the client hangs up.
+    ``rcvbuf`` sets the listening socket's ``SO_RCVBUF``, which the
+    accepted connection inherits."""
+    listener = socket.socket()
+    if rcvbuf is not None:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
     received = bytearray()
 
     def run():
@@ -498,6 +539,21 @@ class TestDaemon:
                     client.request_many(requests)
         assert received == b""
 
+    def test_request_many_reads_while_it_sends(self):
+        # A server that answers each line before it reads the next
+        # stops reading while its answers go unread; a client that
+        # sent its whole burst before reading would wait on it forever.
+        padding = "x" * 65536
+        rows = [tuple(range(1024))] * 1000
+        with _stub_server(
+                lambda request: protocol.error_response(
+                    request.op, request.id, padding),
+                rcvbuf=4096) as (address, _):
+            with ServeClient(*address, timeout=5.0) as client:
+                responses = client.route_many(rows)
+        assert len(responses) == len(rows)
+        assert all(response.error == padding for response in responses)
+
     @pytest.mark.parametrize("op, bad", [
         ("route", (0, 1, 2, 9)),          # tag outside [0, N)
         ("route", (0, 1, 2, 2 ** 70)),    # tag too wide for NumPy
@@ -677,6 +733,62 @@ class TestDaemon:
         assert counters["serve.connections.opened"] == 2
         assert counters["serve.connections.closed"] == 2
 
+    def test_client_that_reads_nothing_stops_being_read(self):
+        """A connection whose answers go unread past asyncio's
+        high-water mark stops being read: the daemon decodes a bounded
+        share of the burst, buffers no more answers, and serves other
+        clients meanwhile."""
+        obs.enable()
+        count = 6000
+        with _daemon() as handle:
+            with contextlib.closing(_unread_burst(handle.address, count)):
+                decoded = _counter_when_settled("serve.requests.route")
+                with ServeClient(*handle.address, timeout=5.0) as client:
+                    started = time.monotonic()
+                    response = client.route((3, 1, 2, 0))
+                    elapsed = time.monotonic() - started
+        assert decoded < count // 2
+        assert obs.snapshot()["counters"]["serve.pauses"] >= 1
+        assert response.status == "ok"
+        assert elapsed < 1.0
+
+    def test_answers_to_a_client_that_hung_up_are_dropped(self, caplog):
+        # The client closes (no reset) without reading: the daemon
+        # reads its requests, the first answer's write fails, and the
+        # rest are counted instead of written to the lost connection
+        # (which asyncio logs as "socket.send() raised exception.").
+        obs.enable()
+        with _daemon() as handle:
+            sock = _unread_burst(handle.address, 200)
+            sock.close()
+            _counter_when_settled("serve.responses.dropped")
+            with ServeClient(*handle.address, timeout=5.0) as client:
+                response = client.route((3, 1, 2, 0))
+        assert not [record for record in caplog.records
+                    if "socket.send() raised" in record.getMessage()]
+        assert obs.snapshot()["counters"]["serve.responses.dropped"] > 0
+        assert response.status == "ok"
+
+    def test_half_closed_client_gets_every_answer(self):
+        # Three requests and an unterminated fourth, then the client
+        # shuts its sending side: all four are answered, then EOF.
+        rows = [(3, 1, 2, 0), (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)]
+        payload = b"".join(_line("route", row, index)
+                           for index, row in enumerate(rows))
+        with _daemon() as handle:
+            with socket.create_connection(handle.address,
+                                          timeout=30.0) as sock:
+                sock.sendall(payload[:-1])
+                sock.shutdown(socket.SHUT_WR)
+                with sock.makefile("rb") as reader:
+                    answered = reader.read()
+        responses = sorted((protocol.decode_response(line)
+                            for line in answered.splitlines()),
+                           key=lambda response: response.id)
+        assert [response.id for response in responses] == [0, 1, 2, 3]
+        for row, response in zip(rows, responses):
+            assert response.mapping == fast_self_route(row)[1]
+
     def test_serve_counters(self, rng):
         obs.enable()
         rows = [random_permutation(8, rng).as_tuple()
@@ -725,22 +837,30 @@ class TestDaemon:
 class TestDaemonLifecycle:
     def test_stop_counts_unclosable_writers(self):
         # regression: a transport raising from close() during shutdown
-        # was swallowed silently; it must bump serve.errors instead
-        class _StubbornWriter:
+        # was swallowed silently; it must bump serve.errors instead,
+        # and it is aborted once the close grace runs out
+        class _StubbornTransport:
+            aborted = False
+
             def close(self):
                 raise RuntimeError("transport refuses to close")
 
+            def abort(self):
+                self.aborted = True
+
         obs.enable()
+        stubborn = _StubbornTransport()
 
         async def scenario():
             daemon = RoutingDaemon(ServeConfig(port=0,
                                                warm_orders=(2,)))
             await daemon.start()
-            daemon._writers.add(_StubbornWriter())
+            daemon._transports.add(stubborn)
             await daemon.stop()
 
         asyncio.run(scenario())
         assert obs.snapshot()["counters"]["serve.errors"] == 1
+        assert stubborn.aborted
 
     def test_stop_answers_queued_requests(self):
         # Requests still queued in the coalescer when stop() begins are
@@ -783,6 +903,20 @@ class TestDaemonLifecycle:
             assert response.mapping == fast_self_route(row)[1]
         assert obs.snapshot()["counters"]["serve.flush.drain"] == 1
         assert rest == b""  # then the daemon closed the connection
+
+    def test_stop_aborts_a_client_that_reads_nothing(self):
+        # The connection cannot finish closing while its answers go
+        # unread, so stop() aborts it after a short grace.
+        obs.enable()
+        handle = _daemon()
+        with contextlib.closing(_unread_burst(handle.address, 3000)):
+            _counter_when_settled("serve.requests.route")
+            started = time.monotonic()
+            handle.stop()
+            elapsed = time.monotonic() - started
+            alive = handle._thread.is_alive()
+        assert elapsed < 5.0
+        assert not alive
 
     def test_negative_max_wait_rejected(self):
         # The queue runs with no wait, so the daemon checks the bound
